@@ -903,13 +903,26 @@ def decode_query(v: str) -> str:
     return d
 
 
+def _code_point(hex_digits: str) -> str | None:
+    """The character a hex chunk names, or None unless it parses as hex
+    and is a Unicode scalar value (0..0x10FFFF, not a surrogate)."""
+    try:
+        code = int(hex_digits, 16)
+    except ValueError:
+        return None
+    if not 0 <= code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+        return None
+    return chr(code)
+
+
 def decode_sohu_query(v: str) -> str | None:
     """DecodeSohuQuery (site_query.cc:99-160): '%'-chunked walk where
     ``uXXXX`` chunks are 4-hex-digit CODE POINTS, ``25uXXXX`` the
     double-encoded form, and plain chunks a 2-hex-digit code point
     (wchar_t semantics — NOT a byte) followed by literal tail; a
-    leading non-'%' chunk passes through literally; malformed hex
-    fails the whole decode."""
+    leading non-'%' chunk passes through literally; malformed hex, or a
+    code point that is negative, past 0x10FFFF or a surrogate, fails the
+    whole decode."""
     chars = [c.strip() for c in v.split("%")]
     chars = [c for c in chars if c != ""]
     if not chars:
@@ -922,35 +935,13 @@ def decode_sohu_query(v: str) -> str | None:
             continue
         if len(buf) < 2:
             continue
-        if buf[0] == "u":
-            if len(buf) < 5:
-                return None
-            try:
-                code = int(buf[1:5], 16)
-            except ValueError:
-                return None
-            out.append(chr(code))
-            if len(buf) > 5:
-                out.append(buf[5:])
-            continue
-        if buf[:3] == "25u":
-            if len(buf) < 7:
-                return None
-            try:
-                code = int(buf[3:7], 16)
-            except ValueError:
-                return None
-            out.append(chr(code))
-            if len(buf) > 7:
-                out.append(buf[7:])
-            continue
-        try:
-            code = int(buf[:2], 16)
-        except ValueError:
+        # uXXXX, 25uXXXX (double-encoded) or a plain XX chunk
+        start = 1 if buf[0] == "u" else 3 if buf[:3] == "25u" else 0
+        end = start + (4 if start else 2)
+        ch = _code_point(buf[start:end]) if len(buf) >= end else None
+        if ch is None:
             return None
-        out.append(chr(code))
-        if len(buf) > 2:
-            out.append(buf[2:])
+        out.append(ch + buf[end:])
     return "".join(out)
 
 

@@ -3,22 +3,35 @@
 Per generation (G2 loop semantics, SURVEY §3.3 — frontier[g] → schedule →
 fetch → extract → frontier[g+1]):
 
-1. candidates (arrow) → ``ray.data`` ``map_batches(normalize)`` — stateless
-   canonicalize/rules/robots/bands stage, robots table broadcast via
-   ``ray.put``;
-2. ``groupby(shard).map_groups`` routes each shard's rows to its
-   ``ShardActor`` (named raw actor: the one shared-mutable-state piece the
-   Dataset API can't express) which admits against its cuckoo seen-set and
-   runs the politeness DES → returns timed fetch permits;
-3. permits → ``ds.sort`` by the global crawl-order key (the wave's wide
-   shuffle) → ``map_batches(FetchWorker, concurrency=N)`` actor pool holding
-   the warm WebIndex — fetch-sim + image decode/recompress/phash;
-4. fetch output materialized to per-(gen) parquet sinks: status, images
-   (after shard-actor first-wins dedup), next-gen candidates
-   (retries + extracted outlinks);
+1. candidate block refs → ONE ``ray.data`` ``map_batches`` operator that
+   normalizes (stateless canonicalize/rules/robots/bands, robots table
+   broadcast via ``ray.put``) and routes: each batch pushes every shard's
+   rows to that shard's ``ShardActor.enqueue`` (raw actor: the one
+   shared-mutable-state piece the Dataset API can't express);
+2. ``ShardActor.schedule_wave`` admits the enqueued rows against the
+   shard's seen-set and runs the politeness DES; it returns two refs —
+   the shard's stats and its timed fetch permits as one Arrow table;
+3. permits → sort by the global crawl-order key → windowed dispatch to the
+   ``FetchWorker`` actor pool holding the warm WebIndex slices (fetch-sim;
+   HTML link extraction in parse mode);
+4. one ``_derive_block`` task per fetched block (optional result handler
+   first) returns status rows, image refs, retry and outlink candidates;
+   the driver streams them into per-gen parquet sinks, admits image refs
+   first-wins on the shard actors and decodes/recompresses/phashes only
+   the kept ones in the fetch pool;
 5. checkpoint per (gen, shard): scheduler state pickle + ``_DONE`` marker +
    metrics rows → a killed run resumes at the last complete generation
    without re-fetching (fetch lookups are counted to prove it).
+
+Driver round trips per generation: one Ray Data execution (a task per
+candidate block, each making one ``enqueue`` call per shard present), one
+``schedule_wave`` per shard (a single ``ray.get`` over the stats refs), one
+small-wave permit ``ray.get``, one ``_fetch_window_sharded`` task per
+``DISPATCH_WINDOW`` permit blocks, one ``_derive_block`` task per fetched
+block, one ``admit_images`` call per shard per window of image-ref blocks,
+one ``_process_refs_window_sharded`` task per window of kept-ref chunks, and
+one batched ``ray.get`` of the shard ``state_dict`` blobs. The next wave's
+start clock is the max of the ``clock`` values ``schedule_wave`` returned.
 
 The wave flows by OBJECT-STORE BLOCK REFS end to end: candidates enter as
 block refs, permits come back from the shard actors as per-shard Arrow table
@@ -85,8 +98,6 @@ PERMIT_SCHEMA = pa.schema(
         ("depth", pa.int16()),
         ("tried", pa.int16()),
         ("referer", pa.string()),
-        ("dedup_hits", pa.int64()),
-        ("shard", pa.int32()),
     ]
 )
 
@@ -109,37 +120,6 @@ class ShardActor:
             corpus_dir, shard_id, num_shards, tuple(hot_hosts)
         )
 
-    def schedule(self, rows: list[dict], wave_start: int) -> dict:
-        rows = sorted(rows, key=lambda r: r["seq"])
-        accepted, hits = self.sched.admit(rows)
-        permits = self.sched.run_wave(accepted, wave_start, self.meta)
-        self._permits = permits
-        self._dedup_hits = hits
-        return {
-            "dedup_hits": hits,
-            "candidates": len(rows),
-            "scheduled": len(permits),
-            "top_host": getattr(self.sched, "last_top_host", ""),
-            "top_host_n": getattr(self.sched, "last_top_host_n", 0),
-        }
-
-    def take_permits(self) -> pa.Table:
-        """This wave's permits as one Arrow table (the actor's shard slice).
-        Returned as a separate remote call so the driver can hold only the
-        ObjectRef and feed it straight into the permit sort / fetch stage —
-        permits never materialize driver-side."""
-        permits = getattr(self, "_permits", [])
-        self._permits = []
-        rows = [
-            {
-                **p.__dict__,
-                "dedup_hits": self._dedup_hits,
-                "shard": self.sched.shard_id,
-            }
-            for p in permits
-        ]
-        return pa.Table.from_pylist(rows, schema=PERMIT_SCHEMA)
-
     def enqueue(self, table: pa.Table) -> int:
         """Streamed routing: map_batches tasks push this shard's rows here
         as zero-copy Arrow tables; order is restored by seq at
@@ -148,12 +128,16 @@ class ShardActor:
         self._buf.append(table)
         return len(self._buf)
 
-    def schedule_wave(self, wave_start: int) -> dict:
+    @ray.method(num_returns=2)
+    def schedule_wave(self, wave_start: int) -> tuple[dict, pa.Table]:
+        """Admit the enqueued rows and run the politeness DES. Returns
+        (stats, this shard's permits as one Arrow table): the driver
+        ``ray.get``s only the stats ref and hands the permit ref straight
+        to the permit sort / fetch stage."""
         tables = getattr(self, "_buf", [])
         self._buf = []
         # arrow-kernel sort by seq BEFORE the one unavoidable to_pylist
-        # (the DES consumes per-row dicts); schedule()'s python sort then
-        # sees already-ordered input (Timsort O(n))
+        # (the DES consumes per-row dicts)
         rows = (
             pa.concat_tables(tables, promote_options="default")
             .sort_by("seq")
@@ -161,31 +145,38 @@ class ShardActor:
             if tables
             else []
         )
-        out = self.schedule(rows, wave_start)
-        out["fp_audit"] = self.sched.fp_audit
-        out["seen_size"] = self.sched.seen.size
-        out["clock"] = self.sched.clock
-        # cumulative cuckoo insert failures (filter saturation) — nonzero
-        # means seen_capacity is undersized and exactly-once is degraded
-        out["cuckoo_add_failures"] = (
-            self.sched.seen_add_failures + self.sched.image_add_failures
+        accepted, hits = self.sched.admit(rows)
+        permits = self.sched.run_wave(accepted, wave_start, self.meta)
+        stats = {
+            "dedup_hits": hits,
+            "candidates": len(rows),
+            "scheduled": len(permits),
+            "top_host": getattr(self.sched, "last_top_host", ""),
+            "top_host_n": getattr(self.sched, "last_top_host_n", 0),
+            "fp_audit": self.sched.fp_audit,
+            "seen_size": self.sched.seen.size,
+            # the next wave starts at the max of these: nothing between
+            # schedule_wave and the checkpoint moves a shard's clock
+            "clock": self.sched.clock,
+            # cumulative cuckoo insert failures (filter saturation) —
+            # nonzero means seen_capacity is undersized and exactly-once
+            # is degraded
+            "cuckoo_add_failures": (
+                self.sched.seen_add_failures + self.sched.image_add_failures
+            ),
+        }
+        return stats, pa.Table.from_pylist(
+            [p.__dict__ for p in permits], schema=PERMIT_SCHEMA
         )
-        return out
 
     def admit_images(self, hashes: list[int]) -> list[bool]:
         return self.sched.admit_images(np.array(hashes, dtype=np.uint64)).tolist()
-
-    def clock(self) -> int:
-        return self.sched.clock
 
     def state_dict(self) -> bytes:
         return pickle.dumps(self.sched.state_dict())
 
     def load_state(self, blob: bytes) -> None:
         self.sched = ShardScheduler.from_state_dict(pickle.loads(blob))
-
-    def seen_rows(self) -> list[tuple]:
-        return self.sched.seen_urls
 
     def seen_count(self) -> int:
         return len(self.sched.seen_urls)
@@ -250,7 +241,7 @@ class FetchWorker:
                 parse_html=parse_html,
             )
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def fetch_batch(self, batch: pa.Table) -> pa.Table:
         # The per-URL fetch_one() call is the per-row DES/fetch contract and
         # stays a loop; everything the permit merely passes through stays
         # COLUMNAR (zero-copy from the input batch) — only the fetch RESULT
@@ -312,6 +303,24 @@ class FetchWorker:
             }
         )
 
+    def process_refs_pos(
+        self, refs: list[dict], gen: int, positions: list[int]
+    ) -> tuple[pa.Table, list[int]]:
+        """Decode/recompress/phash the deduped image refs (post-dedup only —
+        each unique image is processed exactly once per run) and return
+        the surviving original positions, so the sharded dispatch
+        (``_process_refs_window_sharded``) can reassemble the per-owner
+        results into the caller's original ref order."""
+        rows, kept = [], []
+        for r, p in zip(refs, positions):
+            row = self.index.images.get(r["image_id"])
+            if row is not None:
+                rows.append(
+                    {**process_image(row, r["alt"]), "first_gen": gen}
+                )
+                kept.append(p)
+        return pa.Table.from_pylist(rows, schema=IMAGE_SCHEMA), kept
+
 
 IMAGE_SCHEMA = pa.schema(
     [
@@ -353,53 +362,6 @@ STATUS_SCHEMA = pa.schema(
         ("via_proxy", pa.string()),
     ]
 )
-
-
-class _FetchActorImpl(FetchWorker):
-    def fetch_batch(self, batch: pa.Table) -> pa.Table:
-        return self(batch)
-
-    def process_refs(self, refs: list[dict], gen: int) -> pa.Table:
-        """Decode/recompress/phash the deduped image refs (post-dedup only —
-        each unique image is processed exactly once per run)."""
-        rows = [
-            {**process_image(self.index.images[r["image_id"]], r["alt"]),
-             "first_gen": gen}
-            for r in refs
-            if r["image_id"] in self.index.images
-        ]
-        return pa.Table.from_pylist(rows, schema=IMAGE_SCHEMA)
-
-    def index_stats(self) -> dict:
-        """Per-actor slice footprint — the scale-evidence counter behind
-        the sharded-WebIndex stress (BASELINE §: per-actor RSS must be
-        O(corpus / pool), not O(corpus))."""
-        import resource
-
-        return {
-            "pages": len(self.index.pages),
-            "images": len(self.index.images),
-            "image_payload_bytes": sum(
-                len(r["bytes"]) for r in self.index.images.values()
-            ),
-            "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        }
-
-    def process_refs_pos(
-        self, refs: list[dict], gen: int, positions: list[int]
-    ) -> tuple[pa.Table, list[int]]:
-        """:meth:`process_refs` plus the surviving original positions, so
-        the sharded dispatch (``_process_refs_sharded``) can reassemble
-        the per-owner results into the caller's original ref order."""
-        rows, kept = [], []
-        for r, p in zip(refs, positions):
-            row = self.index.images.get(r["image_id"])
-            if row is not None:
-                rows.append(
-                    {**process_image(row, r["alt"]), "first_gen": gen}
-                )
-                kept.append(p)
-        return pa.Table.from_pylist(rows, schema=IMAGE_SCHEMA), kept
 
 
 # Dispatch shims for the SHARDED fetch pool: pure reassembly — results are
@@ -503,9 +465,7 @@ def _submit_windowed(task, head_args: tuple, items: list) -> list:
 # state is only valid as of the last per-gen checkpoint, so a mid-wave
 # death must fail the run loudly and be recovered via run_crawl(resume=True)
 # from the last _DONE generation (never silently with empty state).
-FetchActorCls = ray.remote(max_restarts=2, max_task_retries=2)(
-    _FetchActorImpl
-)
+FetchActorCls = ray.remote(max_restarts=2, max_task_retries=2)(FetchWorker)
 
 
 def _seeds_candidates(seeds: pa.Table) -> pa.Table:
@@ -628,55 +588,42 @@ def read_sink(dir_: str, base: str) -> pa.Table:
     )
 
 
-# --- per-block derivative tasks (refs-mode wave flow) -----------------------
-# Each takes an ObjectRef of a fetched block and returns a SMALL derived
-# table; the heavy fetched block itself never lands on the driver.
+# --- per-block derivation (refs-mode wave flow) ----------------------------
 
 
-@ray.remote
-def _apply_result_handler(handler, block: pa.Table) -> pa.Table:
-    """User extension seam — the CrawlTaskHandler analog (reference
-    crawler.h:29-35, wired in crawler_main.cc:65-75): a pluggable callable
-    applied to every fetched block BEFORE the status/image/candidate
-    derivations, running distributed (one remote task per block; the handler
-    is ``ray.put`` once and dereferenced per task, never re-shipped per
-    batch). The handler may filter rows, rewrite values, or append columns
-    (appended columns flow into the status sink); it must preserve the
-    FetchWorker output columns the downstream derivations read."""
-    out = handler(block)
-    missing = [c for c in block.column_names if c not in out.column_names]
-    if missing:
-        raise ValueError(
-            f"result_handler dropped required fetched-block columns {missing}"
-        )
-    return out
+@ray.remote(num_returns=4)
+def _derive_block(handler, block: pa.Table):
+    """One fetched block → (status rows, image refs, retry candidates,
+    outlink candidates): SMALL derived tables, each its own ObjectRef, so
+    the heavy fetched block itself never lands on the driver.
 
+    ``handler`` is the user extension seam — the CrawlTaskHandler analog
+    (reference crawler.h:29-35, wired in crawler_main.cc:65-75): an optional
+    callable applied to the block BEFORE the derivations, running
+    distributed (it is ``ray.put`` once and dereferenced per task, never
+    re-shipped per batch). It may filter rows, rewrite values, or append
+    columns (appended columns flow into the status sink); it must preserve
+    the FetchWorker output columns the derivations read.
 
-@ray.remote
-def _block_status(block: pa.Table) -> pa.Table:
-    return block.drop_columns(["outlinks", "images"])
-
-
-@ray.remote
-def _block_image_refs(block: pa.Table) -> pa.Table:
-    """(image_id, alt) refs of one fetched block — global crawl order and
-    in-page order preserved (polars explode keeps both)."""
-    df = (
-        pl.from_arrow(block.select(["images"]))
+    Image refs keep global crawl order and in-page order (polars explode
+    keeps both). The wave-level candidate sequence is ALL retries (block
+    order) then ALL outlinks (block order) — the seq-assignment seam the
+    oracle shares."""
+    if handler is not None:
+        out = handler(block)
+        missing = [c for c in block.column_names if c not in out.column_names]
+        if missing:
+            raise ValueError(
+                f"result_handler dropped required fetched-block columns {missing}"
+            )
+        block = out
+    fdf = pl.from_arrow(block)
+    image_refs = (
+        fdf.select("images")
         .explode("images")
         .drop_nulls("images")
         .unnest("images")
     )
-    return df.to_arrow()
-
-
-@ray.remote(num_returns=2)
-def _block_candidates(block: pa.Table):
-    """One fetched block → (retry candidates, outlink candidates), both in
-    crawl order. The wave-level candidate sequence is ALL retries (block
-    order) then ALL outlinks (block order) — the seq-assignment seam the
-    oracle shares."""
-    fdf = pl.from_arrow(block)
     retries = fdf.filter(pl.col("retry")).select(
         pl.col("url"),
         pl.col("depth").cast(pl.Int16),
@@ -698,6 +645,8 @@ def _block_candidates(block: pa.Table):
         )
     )
     return (
+        block.drop_columns(["outlinks", "images"]),
+        image_refs.to_arrow(),
         retries.to_arrow().cast(CANDIDATE_SCHEMA),
         outlinks.to_arrow().cast(CANDIDATE_SCHEMA),
     )
@@ -726,7 +675,7 @@ def run_crawl(
     ``CrawlTaskHandler``, crawler.h:29-35): an optional picklable callable
     ``pa.Table -> pa.Table`` applied to every fetched block, distributed,
     before the status / image / candidate derivations (see
-    ``_apply_result_handler``). ``None`` (default) keeps the engine's exact
+    ``_derive_block``). ``None`` (default) keeps the engine's exact
     oracle-parity behavior; a handler that filters rows or rewrites
     outlink/retry columns deliberately changes the downstream crawl — that
     is the point of the hook, and it is the caller's contract.
@@ -963,35 +912,24 @@ def run_crawl(
                 shutil.rmtree(gen_dir)
             os.makedirs(os.path.join(gen_dir, "ckpt"), exist_ok=True)
 
-            # 1. normalize (stateless mb; robots broadcast) over the candidate
-            # block refs — the wave enters as object-store blocks, not a
-            # driver table.
-            cand_ds = ray.data.from_arrow_refs(list(cand_blocks))
-
-            def _norm(batch: pa.Table, g=gen) -> pa.Table:
-                rob = ray.get(robots_ref)
-                out, _m = normalize_batch(
-                    batch, rob, num_shards, g, hot_hosts=hot_hosts
-                )
-                return out
-
-            norm_ds = cand_ds.map_batches(_norm, batch_format="pyarrow")
-
-            # 2. route to shard actors directly from the streaming map stage —
-            # co-location by message passing instead of a groupby shuffle (the
-            # actor IS the partition owner; rows move exactly once, and small
-            # waves skip all-to-all overhead). Order restored by seq in-actor.
+            # 1. normalize + route in ONE map_batches operator over the
+            # candidate block refs (the wave enters as object-store blocks,
+            # not a driver table): canonicalize/rules/robots/bands (robots
+            # broadcast via ray.put), then push each shard's rows straight
+            # to its ShardActor — co-location by message passing instead of
+            # a groupby shuffle (the actor IS the partition owner; rows move
+            # exactly once). Order is restored by seq in-actor. Every call
+            # returns the same (shard, n) schema, even when normalize drops
+            # every row of the batch.
             actor_list = list(actors)
 
-            def _route(batch: pa.Table) -> pa.Table:
-                if batch.num_rows == 0:
-                    return pa.table({"shard": pa.array([], pa.int32()),
-                                     "n": pa.array([], pa.int64())})
-                import polars as _pl
-
-                df = _pl.from_arrow(batch)
+            def _norm_route(batch: pa.Table, g=gen) -> pa.Table:
+                out, _m = normalize_batch(
+                    batch, ray.get(robots_ref), num_shards, g,
+                    hot_hosts=hot_hosts,
+                )
                 futs, counts = [], {}
-                for (sh,), sub in df.group_by("shard"):
+                for (sh,), sub in pl.from_arrow(out).group_by("shard"):
                     futs.append(actor_list[int(sh)].enqueue.remote(sub.to_arrow()))
                     counts[int(sh)] = sub.height
                 ray.get(futs)
@@ -1003,28 +941,27 @@ def run_crawl(
                 )
 
             # consume the routed dataset (one pass; side effects land in actors)
-            # max_retries=0: a _route task that dies AFTER some of its
+            # max_retries=0: a task that dies AFTER some of its
             # enqueue.remote calls committed must fail the run loudly
             # (resume recovers at the last _DONE gen) — a silent Ray-level
             # task retry would re-run every enqueue and double-count the
             # duplicated candidate rows in the shard metrics
-            for _ in norm_ds.map_batches(
-                _route, batch_format="pyarrow", max_retries=0
-            ).iter_batches(
-                batch_size=None
+            for _ in (
+                ray.data.from_arrow_refs(list(cand_blocks))
+                .map_batches(_norm_route, batch_format="pyarrow", max_retries=0)
+                .iter_batches(batch_size=None)
             ):
                 pass
 
-            # 3. schedule each shard's wave (politeness DES in the actors).
-            # Permits come back as per-shard Arrow TABLE REFS — the driver holds
-            # ObjectRefs, never the rows.
-            wave_res = ray.get(
-                [a.schedule_wave.remote(wave_start) for a in actors]
-            )
-            permit_refs = [a.take_permits.remote() for a in actors]
+            # 2. schedule each shard's wave (politeness DES in the actors).
+            # One call per shard returns two refs: the stats the driver reads,
+            # and the permits as an Arrow TABLE REF the driver only passes on.
+            sched_refs = [a.schedule_wave.remote(wave_start) for a in actors]
+            wave_res = ray.get([st for st, _ in sched_refs])
+            permit_refs = [pt for _, pt in sched_refs]
             n_permits = sum(r["scheduled"] for r in wave_res)
 
-            # permits → global crawl-order sort → fetch pool. Small waves pull
+            # 3. permits → global crawl-order sort → fetch pool. Small waves pull
             # the bounded permit tables and sort with the arrow kernel; waves
             # past DS_SORT_THRESHOLD sort distributed (ray.data over the refs)
             # and the sorted blocks go straight to the fetch actors. SORT_KEYS
@@ -1043,20 +980,16 @@ def run_crawl(
             fetched_refs = _submit_windowed(
                 _fetch_window_sharded, (fetch_pool,), fetch_in
             )
-            if result_handler is not None:
-                fetched_refs = [
-                    _apply_result_handler.remote(handler_ref, r)
-                    for r in fetched_refs
-                ]
 
-            # 4. per-block derivative tasks, submitted up front and consumed in
-            # global crawl order — the heavy fetched blocks stay in the object
-            # store; the driver only streams SMALL derived tables, one block at
-            # a time, into single-file parquet sinks (RSS stays flat no matter
-            # the wave size).
-            status_refs = [_block_status.remote(r) for r in fetched_refs]
-            imref_refs = [_block_image_refs.remote(r) for r in fetched_refs]
-            cand_refs = [_block_candidates.remote(r) for r in fetched_refs]
+            # 4. one derivation task per fetched block (result handler first),
+            # submitted up front and consumed in global crawl order — the
+            # heavy fetched blocks stay in the object store; the driver only
+            # streams SMALL derived tables, one block at a time, into parquet
+            # sinks (RSS stays flat no matter the wave size).
+            derived = [_derive_block.remote(handler_ref, r) for r in fetched_refs]
+            status_refs, imref_refs, retry_refs, outlink_refs = (
+                [d[k] for d in derived] for k in range(4)
+            )
 
             # Windowed pulls: one ray.get round-trip per WINDOW blocks instead
             # of per block (a 16-shard wave can produce dozens of sorted
@@ -1153,8 +1086,6 @@ def run_crawl(
             # construction; seq assigned with a running offset per block. The
             # seq'd blocks are re-put as the next wave's input refs AND streamed
             # into the single-file checkpoint.
-            retry_refs = [p[0] for p in cand_refs]
-            outlink_refs = [p[1] for p in cand_refs]
             cand_writer = RollingWriter(gen_dir, "next_candidates")
             next_cand_refs: list = []
             offset = 0
@@ -1173,9 +1104,9 @@ def run_crawl(
             cand_count = offset
 
             # 5. checkpoint: scheduler state per shard + wave clock + marker
-            wave_start = max(ray.get([a.clock.remote() for a in actors]))
-            for s, a in enumerate(actors):
-                blob = ray.get(a.state_dict.remote())
+            wave_start = max(r["clock"] for r in wave_res)
+            blobs = ray.get([a.state_dict.remote() for a in actors])
+            for s, blob in enumerate(blobs):
                 with open(os.path.join(gen_dir, "ckpt", f"shard_{s}.pkl"), "wb") as f:
                     f.write(blob)
             with open(os.path.join(gen_dir, "ckpt", "wave_start.txt"), "w") as f:

@@ -42,7 +42,7 @@ class WebIndex:
     # sharded actors (oracle.load_corpus_shard): the slice's image
     # MEMBERSHIP set — image ids referenced by this slice's pages that
     # exist in the corpus — because the payload dict above then holds a
-    # DIFFERENT slice (keyed by image_id hash for process_refs routing).
+    # DIFFERENT slice (keyed by image_id hash for process_refs_pos routing).
     # None = unsharded index, membership == payload keys.
     image_members: set | None = None
     # opt-in parse mode: page rows carry raw HTML under "_html" and

@@ -58,7 +58,6 @@ class ShardScheduler:
         load_rows: list[tuple] | None = None,
         options: LoadOptions | None = None,
         seen_capacity: int = 1 << 18,
-        keep_exact_seen: bool = True,
     ):
         self.shard_id = shard_id
         self.num_shards = num_shards
@@ -80,7 +79,7 @@ class ShardScheduler:
             )
         self.lc = LoadController(opt, recs)
         self.seen = CuckooFilter(seen_capacity)
-        self.exact_seen: set[int] | None = set() if keep_exact_seen else None
+        self.exact_seen: set[int] = set()
         self.seen_urls: list[tuple[int, str, int]] = []  # (url_hash, url, gen)
         self.image_seen = CuckooFilter(seen_capacity)
         self.clock = 0
@@ -99,10 +98,10 @@ class ShardScheduler:
 
     def admit(self, rows: list[dict]) -> tuple[list[dict], int]:
         """Seen-check + add, VECTORIZED. rows need keys url, url_hash,
-        tried, gen. Returns (accepted rows, dedup_hits). When the exact
-        audit set is kept, cuckoo false positives are counted
-        (``fp_audit``) — the FP budget the north rule asks to be verified
-        against the exact set.
+        tried, gen. Returns (accepted rows, dedup_hits). The exact audit
+        set decides admission, and cuckoo false positives are counted
+        against it (``fp_audit``) — the FP budget the north rule asks to
+        be verified against the exact set.
 
         Wave semantics: a key's FIRST occurrence decides against the
         PRE-WAVE seen state; later occurrences in the same wave are always
@@ -119,18 +118,13 @@ class ShardScheduler:
         is_first = np.zeros(n, dtype=bool)
         is_first[np.unique(keys, return_index=True)[1]] = True
         cuckoo_dup = self.seen.contains_many(keys)
-        if self.exact_seen is not None:
-            dup_keys = self.exact_seen.intersection(keys[is_first].tolist())
-            exact_dup = np.isin(
-                keys,
-                np.fromiter(dup_keys, dtype=np.uint64, count=len(dup_keys)),
-            )
-            self.fp_audit += int(
-                (is_first & cuckoo_dup & ~exact_dup).sum()
-            )
-            accept_mask = is_first & ~exact_dup
-        else:
-            accept_mask = is_first & ~cuckoo_dup
+        dup_keys = self.exact_seen.intersection(keys[is_first].tolist())
+        exact_dup = np.isin(
+            keys,
+            np.fromiter(dup_keys, dtype=np.uint64, count=len(dup_keys)),
+        )
+        self.fp_audit += int((is_first & cuckoo_dup & ~exact_dup).sum())
+        accept_mask = is_first & ~exact_dup
         hits = int(n - accept_mask.sum())
 
         accepted = []
@@ -139,8 +133,7 @@ class ShardScheduler:
             key = int(keys[i])
             if not self.seen.add(key):
                 self.seen_add_failures += 1
-            if self.exact_seen is not None:
-                self.exact_seen.add(key)
+            self.exact_seen.add(key)
             if r["tried"] == 0:
                 self.seen_urls.append(
                     (int(r["url_hash"]), r["url"], int(r["gen"]))

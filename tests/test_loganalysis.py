@@ -203,7 +203,7 @@ def test_pv_normalize_matches_oracle(ray_session):
 
 
 # ---- hostile-input property tests (parsers must never crash) --------
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 _wire_chars = st.text(
     alphabet="0123456789abcxyz|;=&%/:._- \t", max_size=60
@@ -247,6 +247,47 @@ def test_extract_header_param_never_crashes(header, param):
     # first terminator — never contains one
     if got is not None:
         assert "\r" not in got and "\\" not in got[1:]
+
+
+# percent-escape soup (hex digits, 'u' and '25u' prefixes, signs) or any text
+_escapes = st.text(
+    alphabet="0123456789abcdefABCDEFuxDz%+- ", max_size=40
+) | st.text(max_size=40)
+
+
+@settings(max_examples=120, deadline=None)
+@given(v=_escapes)
+@example(v="%u-123a")
+@example(v="%uD800x")
+def test_sohu_decoder_never_crashes(v):
+    from spider_ray.functions.loganalysis import decode_sohu_query
+
+    got = decode_sohu_query(v)
+    # a decoded query is always valid text: it must survive the utf-8
+    # encode every sink applies
+    if got is not None:
+        got.encode("utf-8")
+
+
+@settings(max_examples=120, deadline=None)
+@given(q=_escapes)
+@example(q="%u-123a")
+@example(q="%uD800x")
+def test_site_search_parser_never_crashes(q):
+    from spider_ray.functions.loganalysis import is_site_internal_search
+
+    for url in (
+        f"http://so.yxdown.com/s_{q}_soft.html",
+        f"http://so.tv.sohu.com/mts?wd={q}",
+        f"http://search.360buy.com/book?keyword={q}",
+        f"http://so.iqiyi.com/so/q_{q}",
+    ):
+        got = is_site_internal_search(url)
+        assert got is None or (
+            isinstance(got, tuple) and len(got) == 2 and got[1] != ""
+        )
+        if got is not None:
+            got[1].encode("utf-8")
 
 
 @settings(max_examples=80, deadline=None)

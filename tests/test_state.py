@@ -161,7 +161,7 @@ def test_cuckoo_saturation_counted_not_silent():
     from spider_ray.state.scheduler import ShardScheduler
 
     sched = ShardScheduler(
-        0, 1, seen_capacity=64, keep_exact_seen=False
+        0, 1, seen_capacity=64
     )
     rows = [
         {
