@@ -42,6 +42,16 @@ driver RSS is bounded by a single block regardless of wave or frontier size.
 Small waves (≤ DS_SORT_THRESHOLD permits) take a driver-side shortcut for the
 permit sort only; both paths produce byte-identical output
 (test_distributed_sort_path_identical forces the refs path).
+
+Fleet lifecycle: a Ray session keeps ONE warm fleet of shard and fetch
+actors across ``run_crawl`` calls, because starting an actor process
+(``import ray``, unpickling the ``spider_ray`` modules) costs far more than
+the actor's own set-up. A crawl takes the idle actors the previous
+successful crawl handed back, re-initialises each through ``reset``
+(which ``__init__`` also calls, so no state crosses crawls) and spawns only
+what it is still short of (``_Fleet``). On success the actors drop their
+per-crawl state and go back to idle; on any exception they are killed. A
+one-shot crawl therefore still pays one fleet start.
 """
 
 from __future__ import annotations
@@ -49,6 +59,8 @@ from __future__ import annotations
 import os
 import pickle
 import shutil
+import threading
+import time
 
 import numpy as np
 import polars as pl
@@ -104,10 +116,18 @@ PERMIT_SCHEMA = pa.schema(
 
 @ray.remote
 class ShardActor:
-    """Owns one ShardScheduler — cuckoo seen-set, politeness state, clock."""
+    """Owns one ShardScheduler — cuckoo seen-set, politeness state, clock.
 
-    def __init__(self, shard_id, num_shards, load_rows, options_dict,
-                 corpus_dir, hot_hosts=(), seen_capacity=1 << 18):
+    One actor serves crawl after crawl of a Ray session: ``reset`` installs
+    a crawl's shard state (any shard of any corpus — the actor has no
+    restarts, so nothing can replay stale creation args) and ``release``
+    drops it while the actor sits idle."""
+
+    def __init__(self, *args, **kwargs):
+        self.reset(*args, **kwargs)
+
+    def reset(self, shard_id, num_shards, load_rows, options_dict,
+              corpus_dir, hot_hosts=(), seen_capacity=1 << 18) -> None:
         options = LoadOptions(**options_dict) if options_dict else None
         self.sched = ShardScheduler(
             shard_id, num_shards, load_rows, options,
@@ -119,12 +139,16 @@ class ShardActor:
         self.meta = shard_meta(
             corpus_dir, shard_id, num_shards, tuple(hot_hosts)
         )
+        self._buf: list[pa.Table] = []
+
+    def release(self) -> None:
+        self.sched = self.meta = None
+        self._buf = []
 
     def enqueue(self, table: pa.Table) -> int:
         """Streamed routing: map_batches tasks push this shard's rows here
         as zero-copy Arrow tables; order is restored by seq at
         schedule_wave time."""
-        self._buf = getattr(self, "_buf", [])
         self._buf.append(table)
         return len(self._buf)
 
@@ -134,8 +158,7 @@ class ShardActor:
         (stats, this shard's permits as one Arrow table): the driver
         ``ray.get``s only the stats ref and hands the permit ref straight
         to the permit sort / fetch stage."""
-        tables = getattr(self, "_buf", [])
-        self._buf = []
+        tables, self._buf = self._buf, []
         # arrow-kernel sort by seq BEFORE the one unavoidable to_pylist
         # (the DES consumes per-row dicts)
         rows = (
@@ -216,15 +239,23 @@ class FetchWorker:
     slice predicate must stay aligned or lookups silently 404) and
     reassembles results in original order (``_fetch_window_sharded`` /
     ``_process_refs_window_sharded``). ``num_owners == 1`` keeps the
-    full index (the single-actor / test construction)."""
+    full index (the single-actor / test construction).
 
-    def __init__(
+    In the crawl's warm fleet ``reset`` rebuilds the index for the next
+    crawl and ``release`` drops it while the actor sits idle; the fleet
+    only ever resets an actor to its own creation args (see
+    ``FetchActorCls``)."""
+
+    def __init__(self, *args, **kwargs):
+        self.reset(*args, **kwargs)
+
+    def reset(
         self,
         corpus_dir: str,
         owner: int = 0,
         num_owners: int = 1,
         parse_html: bool = False,
-    ):
+    ) -> None:
         if num_owners <= 1:
             c = load_corpus(corpus_dir, parse_html=parse_html)
             self.index = WebIndex(
@@ -240,6 +271,9 @@ class FetchWorker:
                 image_members=c["image_members"],
                 parse_html=parse_html,
             )
+
+    def release(self) -> None:
+        self.index = None
 
     def fetch_batch(self, batch: pa.Table) -> pa.Table:
         # The per-URL fetch_one() call is the per-row DES/fetch contract and
@@ -458,14 +492,146 @@ def _submit_windowed(task, head_args: tuple, items: list) -> list:
     return refs
 
 
-# Fetch actors are deterministic and stateless across calls (the WebIndex
-# is rebuilt in __init__), so Ray may transparently restart one that dies
-# and retry its in-flight batch — fetch-sim results are pure functions of
-# the permit row. ShardActor deliberately has NO restarts: its scheduler
-# state is only valid as of the last per-gen checkpoint, so a mid-wave
-# death must fail the run loudly and be recovered via run_crawl(resume=True)
-# from the last _DONE generation (never silently with empty state).
+# Fetch actors are deterministic and stateless across calls (a restart
+# rebuilds the WebIndex in __init__), so Ray may transparently restart one
+# that dies and retry its in-flight batch — fetch-sim results are pure
+# functions of the permit row. The restart budget spans the actor's life in
+# the warm fleet, not one crawl, and a restart replays the ORIGINAL
+# constructor args: that is why the fleet reuses a fetch actor only for
+# identical (corpus_dir, owner, num_owners, parse_html) — one reset to
+# another corpus or slice would come back from a restart holding the wrong
+# slice and 404 silently. ShardActor deliberately has NO restarts: its
+# scheduler state is only valid as of the last per-gen checkpoint, so a
+# mid-wave death must fail the run loudly and be recovered via
+# run_crawl(resume=True) from the last _DONE generation (never silently
+# with empty state).
 FetchActorCls = ray.remote(max_restarts=2, max_task_retries=2)(FetchWorker)
+
+
+# --- the warm fleet ----------------------------------------------------------
+
+# Ray session -> (idle shard actors, {fetch creation args: idle fetch actor}),
+# as the last successful crawl of that session handed them back. Module
+# state on purpose: a driver process has one Ray session, and run_crawl
+# takes no fleet argument. The lock guards it against crawls run from
+# threads.
+_IDLE: dict[tuple, tuple[list, dict]] = {}
+_IDLE_LOCK = threading.Lock()
+
+
+def _session_key() -> tuple:
+    ctx = ray.get_runtime_context()
+    return ctx.get_node_id(), ctx.get_job_id()
+
+
+def _take_idle() -> tuple[list, dict]:
+    """Every idle actor of this Ray session, now the caller's. Handles from
+    an ended session (``ray.shutdown`` then ``ray.init``) are dead and are
+    forgotten."""
+    with _IDLE_LOCK:
+        idle = _IDLE.pop(_session_key(), ([], {}))
+        _IDLE.clear()
+    return idle
+
+
+def shutdown_fleet() -> None:
+    """Kill this Ray session's idle crawl actors (the next ``run_crawl``
+    then starts a fresh fleet)."""
+    shards, fetch = _take_idle()
+    for a in shards + list(fetch.values()):
+        ray.kill(a)
+
+
+class _Fleet:
+    """The shard and fetch actors one ``run_crawl`` call holds.
+
+    ``acquire`` takes the session's idle actors, resets those that fit,
+    spawns the rest and kills the idle ones it cannot use, so a session
+    keeps at most one crawl's fleet warm. ``release`` hands the actors back
+    to idle without their per-crawl state; ``kill`` is the exception path.
+    ``spawned`` counts the actors this call created; ``ready_s()`` is the
+    driver wall time from each acquire until every actor it handed out had
+    answered its reset or construction, summed over acquires."""
+
+    def __init__(self):
+        self.shards: list = []
+        self.fetch_pool: list = []
+        self.fetch_args: list[tuple] = []
+        self.spawned = 0
+        self._ready: list[float] = []
+        self._waiters: list[threading.Thread] = []
+
+    def acquire(self, shard_args: list[tuple], fetch_args: list[tuple]) -> None:
+        t0 = time.perf_counter()
+        idle_shards, idle_fetch = _take_idle()
+        wanted = [
+            (ShardActor, idle_shards.pop() if idle_shards else None, a)
+            for a in shard_args
+        ] + [(FetchActorCls, idle_fetch.pop(a, None), a) for a in fetch_args]
+        for a in idle_shards + list(idle_fetch.values()):
+            ray.kill(a)
+        started = [self._start(cls, idle, args) for cls, idle, args in wanted]
+        handles = [h for h, _ in started]
+        refs = [r for _, r in started]
+        self.shards += handles[: len(shard_args)]
+        self.fetch_pool = handles[len(shard_args):]
+        self.fetch_args = list(fetch_args)
+        # wait for the resets only: an idle actor that died between crawls
+        # fails its reset and is replaced. New actors start while the crawl
+        # goes on (their first call waits for them), so a one-shot crawl's
+        # fleet start still overlaps the driver's own start-up work.
+        for i, (cls, idle, args) in enumerate(wanted):
+            if idle is None:
+                continue
+            try:
+                ray.get(refs[i])
+            except ray.exceptions.RayActorError:
+                ray.kill(idle)
+                pool = self.shards if cls is ShardActor else self.fetch_pool
+                pool[pool.index(idle)], refs[i] = self._start(cls, None, args)
+        waiter = threading.Thread(
+            target=self._await, args=(t0, refs), daemon=True
+        )
+        waiter.start()
+        self._waiters.append(waiter)
+
+    def _start(self, cls, idle, args: tuple):
+        """(handle, ref that resolves once the actor is ready)."""
+        if idle is not None:
+            return idle, idle.reset.remote(*args)
+        self.spawned += 1
+        h = cls.remote(*args)
+        return h, h.__ray_ready__.remote()
+
+    def _await(self, t0: float, refs: list) -> None:
+        ray.wait(refs, num_returns=len(refs))
+        self._ready.append(time.perf_counter() - t0)
+
+    def ready_s(self) -> float:
+        for w in self._waiters:
+            w.join()
+        return sum(self._ready)
+
+    def release_fetch(self) -> None:
+        for a in self.fetch_pool:
+            a.release.remote()
+        with _IDLE_LOCK:
+            _IDLE.setdefault(_session_key(), ([], {}))[1].update(
+                zip(self.fetch_args, self.fetch_pool)
+            )
+        self.fetch_pool, self.fetch_args = [], []
+
+    def release(self) -> None:
+        for a in self.shards:
+            a.release.remote()
+        with _IDLE_LOCK:
+            _IDLE.setdefault(_session_key(), ([], {}))[0].extend(self.shards)
+        self.shards = []
+        self.release_fetch()
+
+    def kill(self) -> None:
+        for a in self.shards + self.fetch_pool:
+            ray.kill(a)
 
 
 def _seeds_candidates(seeds: pa.Table) -> pa.Table:
@@ -797,33 +963,34 @@ def run_crawl(
     # size the per-shard cuckoo to the expected URL population: checkpoint
     # size is proportional (2 filters x 2B/slot), so oversizing inflates
     # per-gen checkpoint writes
-    actors = [
-        ShardActor.remote(
-            s, num_shards, c["load_rows"], options_dict, corpus_dir,
-            hot_hosts=tuple(hot_hosts), seen_capacity=seen_capacity,
-        )
+    shard_args = [
+        (s, num_shards, c["load_rows"], options_dict, corpus_dir,
+         tuple(hot_hosts), seen_capacity)
         for s in range(num_shards)
     ]
-    # persistent fetch actor pool: each actor builds ITS SLICE of the
-    # WebIndex once in __init__ (pages by URL hash — the same predicate
-    # load_corpus_shard and the dispatch key use; NOT host hash — and
-    # image payloads by image_id hash) and keeps it across every
-    # generation of this run —
+
+    # fetch actor pool: each actor builds ITS SLICE of the WebIndex once
+    # per crawl (pages by URL hash — the same predicate load_corpus_shard
+    # and the dispatch key use; NOT host hash — and image payloads by
+    # image_id hash) and keeps it across every generation of this run —
     # per-actor RSS is O(corpus / pool), not O(corpus)
     # parse_html (opt-in M8-over-bytes mode) is NOT a topology key: it is
     # byte-equal to table mode on round-trip corpora (pinned by test), so
     # a resume may toggle it freely — the checkpointed scheduler state is
     # unaffected.
-    fetch_pool = [
-        FetchActorCls.remote(corpus_dir, i, fetch_concurrency, parse_html)
-        for i in range(fetch_concurrency)
-    ]
+    def fetch_args(n: int) -> list[tuple]:
+        return [(corpus_dir, i, n, parse_html) for i in range(n)]
 
-    # everything from here on runs against live actors; ANY exit path —
-    # success, mid-wave actor death, a driver exception — must tear the
-    # fleet down, or each failed attempt leaks num_shards + fetch_pool
-    # actors (each holding O(seen) / WebIndex state) into the session
+    # everything from here on runs against live actors. Only a successful
+    # crawl hands its fleet back to the session's idle list; ANY other exit
+    # — mid-wave actor death, a driver exception, an interrupt — kills it,
+    # so no actor in an unknown state (half-enqueued buffers, a scheduler
+    # mid-wave) is ever reused
+    fleet = _Fleet()
     try:
+        fleet.acquire(shard_args, fetch_args(fetch_concurrency))
+        actors = fleet.shards
+
         def _as_blocks(t: pa.Table) -> tuple[list, int]:
             """Chunk a candidate table into object-store block refs — from here
             on the wave flows by refs."""
@@ -876,9 +1043,7 @@ def run_crawl(
                 break
             ctl = _read_control()
             while ctl.get("pause"):
-                import time as _time
-
-                _time.sleep(0.2)
+                time.sleep(0.2)
                 ctl = _read_control()
             if ctl.get("stop_after_gen") is not None:
                 sag = int(ctl["stop_after_gen"])
@@ -890,16 +1055,12 @@ def run_crawl(
                     stopped_by_control = True
                     break
             want = int(ctl.get("fetch_concurrency") or 0)
-            if want > 0 and want != len(fetch_pool):
+            if want > 0 and want != len(fleet.fetch_pool):
                 # index slices are a function of the pool size, so a
-                # resize rebuilds the whole (stateless) pool rather than
+                # resize swaps the whole (stateless) pool rather than
                 # appending/popping actors with stale slice assignments
-                for a in fetch_pool:
-                    ray.kill(a)
-                fetch_pool = [
-                    FetchActorCls.remote(corpus_dir, i, want, parse_html)
-                    for i in range(want)
-                ]
+                fleet.release_fetch()
+                fleet.acquire([], fetch_args(want))
             gen_dir = os.path.join(out_dir, f"gen={gen}")
             if os.path.isdir(gen_dir) and not os.path.exists(
                 os.path.join(gen_dir, "_DONE")
@@ -978,7 +1139,7 @@ def run_crawl(
                 )
                 fetch_in = list(sorted_ds.materialize().to_arrow_refs())
             fetched_refs = _submit_windowed(
-                _fetch_window_sharded, (fetch_pool,), fetch_in
+                _fetch_window_sharded, (fleet.fetch_pool,), fetch_in
             )
 
             # 4. one derivation task per fetched block (result handler first),
@@ -1043,7 +1204,7 @@ def run_crawl(
                     img_futs.extend(
                         _submit_windowed(
                             _process_refs_window_sharded,
-                            (fetch_pool, gen),
+                            (fleet.fetch_pool, gen),
                             chunk_lists,
                         )
                     )
@@ -1115,7 +1276,10 @@ def run_crawl(
             # partition checkpoints its lineage and metrics); counters were
             # accumulated during the streaming sinks. driver_rss_kb proves the
             # block-ref wave flow: it must stay flat across generations even as
-            # the frontier grows.
+            # the frontier grows. fleet_ready_s / fleet_spawned are this
+            # run_crawl call's fleet cost so far (see _Fleet), repeated on
+            # every row.
+            ready_s = fleet.ready_s()
             mrows = [
                 {
                     "gen": gen,
@@ -1137,6 +1301,8 @@ def run_crawl(
                     "next_candidates": cand_count,
                     "wave_end_us": wave_start,
                     "driver_rss_kb": _driver_rss_kb(),
+                    "fleet_ready_s": ready_s,
+                    "fleet_spawned": fleet.spawned,
                 }
                 for sh, res in enumerate(wave_res)
             ]
@@ -1169,15 +1335,17 @@ def run_crawl(
                 writer.write(b.drop_columns(["sort_key"]))
             writer.close(SEEN_SCHEMA)
 
-        return {
+        result = {
             "out_dir": out_dir,
             "total_fetched": total_fetched,
             "stopped_by_control": stopped_by_control,
-            "fetch_pool_size": len(fetch_pool),
+            "fetch_pool_size": len(fleet.fetch_pool),
         }
-    finally:
-        for a in actors + fetch_pool:
-            ray.kill(a)
+    except BaseException:
+        fleet.kill()
+        raise
+    fleet.release()
+    return result
 
 
 from spider_ray._serial import register_all as _register_all  # noqa: E402

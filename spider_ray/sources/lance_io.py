@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 
 import pyarrow as pa
-import ray.data
 
 try:  # pragma: no cover - wheel not present in this container
     import lance  # type: ignore
@@ -104,6 +103,11 @@ def read_images(
     (or any path carrying the input_hint schema). Column projection is
     pushed into the scan on both branches — a phash-only near-dup pass
     never moves the bytes column."""
+    # imported here, not at module top: the oracle imports this module, and
+    # it travels by value into every fetch actor, which never reads through
+    # Ray Data — a module-level import would cost each one ~0.7 s of start
+    import ray.data
+
     if path.endswith(".lance"):  # pragma: no cover - wheel not present
         return ray.data.read_lance(path, columns=columns)
     return ray.data.read_parquet(path, columns=columns)

@@ -103,7 +103,12 @@ def test_metrics_written(engine_out):
         assert r["cuckoo_fp_audit"] == 0  # exact audit found no FPs here
         assert {"shard", "candidates", "dedup_hits", "scheduled",
                 "seen_size", "http_2xx"} <= set(r)
+        # this call's fleet cost: 2 shard + 2 fetch actors at most
+        assert r["fleet_ready_s"] > 0
+        assert 0 <= r["fleet_spawned"] <= 4
     assert sum(per_gen.values()) == engine_out["total_fetched"]
+    # one call, no pool resize: the same fleet values on every row
+    assert len({(r["fleet_ready_s"], r["fleet_spawned"]) for r in rows}) == 1
 
 
 def test_metrics_parity_with_oracle(engine_out, oracle_out):

@@ -115,7 +115,9 @@ def _metrics_rows(out_dir: str) -> list[dict]:
     rows = []
     for f in sorted(glob.glob(os.path.join(out_dir, "gen=*", "metrics.parquet"))):
         for r in pq.read_table(f).to_pylist():
-            r.pop("driver_rss_kb", None)
+            # measurements of the run itself, not of the crawl
+            for k in ("driver_rss_kb", "fleet_ready_s", "fleet_spawned"):
+                r.pop(k, None)
             rows.append(r)
     return rows
 

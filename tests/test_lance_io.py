@@ -123,3 +123,23 @@ def test_lance_branch_roundtrip(ray_session, tmp_path):
     assert pruned.count() == 2
     batches = list(lance_io.iter_images_batches(path, batch_size=1))
     assert sum(b.num_rows for b in batches) == 2
+
+
+def test_oracle_import_leaves_ray_data_unloaded():
+    """The oracle travels by value into every fetch actor, which never
+    reads through Ray Data: importing it must not pull ``ray.data`` in."""
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import sys, spider_ray.pipelines.oracle; "
+        "print('ray.data' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=repo), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
