@@ -122,7 +122,7 @@ def _crawl_demo() -> dict:
 
     import pyarrow.parquet as pq
 
-    from spider_ray.pipelines.crawl import run_crawl
+    from spider_ray.pipelines.crawl import run_crawl, shutdown_fleet
 
     corpus = _demo_corpus()
     out = _build_once(
@@ -132,6 +132,9 @@ def _crawl_demo() -> dict:
             parse_html=True,
         ),
     )
+    # the only crawl of the session: do not keep its fleet through the
+    # queries that follow
+    shutdown_fleet()
     import pyarrow as pa
 
     from spider_ray.pipelines.crawl import read_sink

@@ -49,9 +49,14 @@ actors across ``run_crawl`` calls, because starting an actor process
 the actor's own set-up. A crawl takes the idle actors the previous
 successful crawl handed back, re-initialises each through ``reset``
 (which ``__init__`` also calls, so no state crosses crawls) and spawns only
-what it is still short of (``_Fleet``). On success the actors drop their
-per-crawl state and go back to idle; on any exception they are killed. A
-one-shot crawl therefore still pays one fleet start.
+what it is still short of (``_Fleet``); a fetch actor that Ray has
+restarted before is replaced, so every crawl gets the full restart budget.
+On success the actors drop their per-crawl state and go back to idle; on any
+exception they are killed. Only a caller that crawls more than once per
+session gains (the test suite, ``perfbench``'s closed loop, ``bench.py``'s
+repeats). A one-shot crawl still pays one fleet start, and a caller that
+goes on with other work after its crawls calls ``shutdown_fleet()`` so the
+idle actors do not outlive them.
 """
 
 from __future__ import annotations
@@ -114,6 +119,14 @@ PERMIT_SCHEMA = pa.schema(
 )
 
 
+def _preload_ray_data() -> None:
+    """Import Ray Data in a new crawl actor. The first Arrow table Ray hands
+    the actor imports it anyway (Ray's Arrow reducer loads ray.air's tensor
+    extensions, which import ray.data); in the constructor that ~0.5 s
+    overlaps the driver's start-up instead of stalling generation 0."""
+    import ray.data  # noqa: F401
+
+
 @ray.remote
 class ShardActor:
     """Owns one ShardScheduler — cuckoo seen-set, politeness state, clock.
@@ -124,6 +137,7 @@ class ShardActor:
     drops it while the actor sits idle."""
 
     def __init__(self, *args, **kwargs):
+        _preload_ray_data()
         self.reset(*args, **kwargs)
 
     def reset(self, shard_id, num_shards, load_rows, options_dict,
@@ -247,6 +261,7 @@ class FetchWorker:
     ``FetchActorCls``)."""
 
     def __init__(self, *args, **kwargs):
+        _preload_ray_data()
         self.reset(*args, **kwargs)
 
     def reset(
@@ -255,7 +270,10 @@ class FetchWorker:
         owner: int = 0,
         num_owners: int = 1,
         parse_html: bool = False,
-    ) -> None:
+    ) -> bool:
+        """Build the index slice; returns whether Ray has restarted this
+        actor before. Such an actor has spent part of its restart budget,
+        so the fleet replaces it rather than reuse it."""
         if num_owners <= 1:
             c = load_corpus(corpus_dir, parse_html=parse_html)
             self.index = WebIndex(
@@ -271,6 +289,10 @@ class FetchWorker:
                 image_members=c["image_members"],
                 parse_html=parse_html,
             )
+        ctx = ray.get_runtime_context()
+        return ctx.get_actor_id() is not None and bool(
+            ctx.was_current_actor_reconstructed
+        )
 
     def release(self) -> None:
         self.index = None
@@ -495,27 +517,27 @@ def _submit_windowed(task, head_args: tuple, items: list) -> list:
 # Fetch actors are deterministic and stateless across calls (a restart
 # rebuilds the WebIndex in __init__), so Ray may transparently restart one
 # that dies and retry its in-flight batch — fetch-sim results are pure
-# functions of the permit row. The restart budget spans the actor's life in
-# the warm fleet, not one crawl, and a restart replays the ORIGINAL
-# constructor args: that is why the fleet reuses a fetch actor only for
-# identical (corpus_dir, owner, num_owners, parse_html) — one reset to
-# another corpus or slice would come back from a restart holding the wrong
-# slice and 404 silently. ShardActor deliberately has NO restarts: its
-# scheduler state is only valid as of the last per-gen checkpoint, so a
-# mid-wave death must fail the run loudly and be recovered via
-# run_crawl(resume=True) from the last _DONE generation (never silently
-# with empty state).
+# functions of the permit row. The restart budget spans the actor's life,
+# not one crawl, so the warm fleet replaces an idle fetch actor that has
+# restarted before (its reset says so) and every crawl starts with the full
+# budget. A restart also replays the ORIGINAL constructor args: that is why
+# the fleet reuses a fetch actor only for identical (corpus_dir, owner,
+# num_owners, parse_html) — one reset to another corpus or slice would come
+# back from a restart holding the wrong slice and 404 silently. ShardActor
+# deliberately has NO restarts: its scheduler state is only valid as of the
+# last per-gen checkpoint, so a mid-wave death must fail the run loudly and
+# be recovered via run_crawl(resume=True) from the last _DONE generation
+# (never silently with empty state).
 FetchActorCls = ray.remote(max_restarts=2, max_task_retries=2)(FetchWorker)
 
 
 # --- the warm fleet ----------------------------------------------------------
 
-# Ray session -> (idle shard actors, {fetch creation args: idle fetch actor}),
-# as the last successful crawl of that session handed them back. Module
-# state on purpose: a driver process has one Ray session, and run_crawl
-# takes no fleet argument. The lock guards it against crawls run from
-# threads.
-_IDLE: dict[tuple, tuple[list, dict]] = {}
+# (Ray session, idle shard actors, {fetch creation args: idle fetch actor})
+# as the last successful crawl handed them back, or None. Module state on
+# purpose: a driver process has one Ray session, and run_crawl takes no
+# fleet argument. The lock guards it against crawls run from threads.
+_IDLE: tuple[tuple, list, dict] | None = None
 _IDLE_LOCK = threading.Lock()
 
 
@@ -528,10 +550,23 @@ def _take_idle() -> tuple[list, dict]:
     """Every idle actor of this Ray session, now the caller's. Handles from
     an ended session (``ray.shutdown`` then ``ray.init``) are dead and are
     forgotten."""
+    global _IDLE
     with _IDLE_LOCK:
-        idle = _IDLE.pop(_session_key(), ([], {}))
-        _IDLE.clear()
-    return idle
+        idle, _IDLE = _IDLE, None
+    if idle is None or idle[0] != _session_key():
+        return [], {}
+    return idle[1], idle[2]
+
+
+def _park(shards: list, fetch: dict) -> None:
+    """Add actors to this Ray session's idle fleet."""
+    global _IDLE
+    key = _session_key()
+    with _IDLE_LOCK:
+        if _IDLE is None or _IDLE[0] != key:
+            _IDLE = (key, [], {})
+        _IDLE[1].extend(shards)
+        _IDLE[2].update(fetch)
 
 
 def shutdown_fleet() -> None:
@@ -577,15 +612,18 @@ class _Fleet:
         self.fetch_pool = handles[len(shard_args):]
         self.fetch_args = list(fetch_args)
         # wait for the resets only: an idle actor that died between crawls
-        # fails its reset and is replaced. New actors start while the crawl
-        # goes on (their first call waits for them), so a one-shot crawl's
-        # fleet start still overlaps the driver's own start-up work.
+        # fails its reset, and a fetch actor that has restarted before says
+        # so in its reset; both are replaced. New actors start while the
+        # crawl goes on (their first call waits for them), so a one-shot
+        # crawl's fleet start still overlaps the driver's own start-up work.
         for i, (cls, idle, args) in enumerate(wanted):
             if idle is None:
                 continue
             try:
-                ray.get(refs[i])
+                replace = ray.get(refs[i])
             except ray.exceptions.RayActorError:
+                replace = True
+            if replace:
                 ray.kill(idle)
                 pool = self.shards if cls is ShardActor else self.fetch_pool
                 pool[pool.index(idle)], refs[i] = self._start(cls, None, args)
@@ -615,17 +653,13 @@ class _Fleet:
     def release_fetch(self) -> None:
         for a in self.fetch_pool:
             a.release.remote()
-        with _IDLE_LOCK:
-            _IDLE.setdefault(_session_key(), ([], {}))[1].update(
-                zip(self.fetch_args, self.fetch_pool)
-            )
+        _park([], dict(zip(self.fetch_args, self.fetch_pool)))
         self.fetch_pool, self.fetch_args = [], []
 
     def release(self) -> None:
         for a in self.shards:
             a.release.remote()
-        with _IDLE_LOCK:
-            _IDLE.setdefault(_session_key(), ([], {}))[0].extend(self.shards)
+        _park(self.shards, {})
         self.shards = []
         self.release_fetch()
 

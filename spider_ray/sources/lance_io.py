@@ -103,9 +103,10 @@ def read_images(
     (or any path carrying the input_hint schema). Column projection is
     pushed into the scan on both branches — a phash-only near-dup pass
     never moves the bytes column."""
-    # imported here, not at module top: the oracle imports this module, and
-    # it travels by value into every fetch actor, which never reads through
-    # Ray Data — a module-level import would cost each one ~0.7 s of start
+    # imported here, not at module top: the oracle imports this module and
+    # should not need Ray Data for it. A fetch actor loads Ray Data anyway at
+    # its first call, because Ray's reducer for the Arrow tables it receives
+    # imports ray.air's tensor extensions, which import ray.data
     import ray.data
 
     if path.endswith(".lance"):  # pragma: no cover - wheel not present

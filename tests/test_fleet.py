@@ -81,7 +81,9 @@ def _spawned(out: str) -> int:
 
 
 def _idle() -> tuple[list, dict]:
-    return C._IDLE.get(C._session_key(), ([], {}))
+    if C._IDLE is None or C._IDLE[0] != C._session_key():
+        return [], {}
+    return C._IDLE[1], C._IDLE[2]
 
 
 def _kill_and_wait(actor) -> None:
@@ -136,6 +138,22 @@ def test_idle_actor_killed_between_crawls_is_replaced(corpora, ray_session):
     _assert_matches(out, gold)
 
 
+def _kill_first_fetch_actor(monkeypatch, times: int) -> list:
+    """Before each of the next ``times`` fetch submissions, kill the
+    first fetch actor of the pool with a restart. Returns the kill log."""
+    submit = C._submit_windowed
+    killed = []
+
+    def kill_then_submit(task, head_args, items):
+        if task is C._fetch_window_sharded and len(killed) < times:
+            killed.append(head_args[0][0])
+            ray.kill(head_args[0][0], no_restart=False)
+        return submit(task, head_args, items)
+
+    monkeypatch.setattr(C, "_submit_windowed", kill_then_submit)
+    return killed
+
+
 def test_fetch_actor_restart_keeps_its_corpus(corpora, ray_session,
                                               monkeypatch):
     """Ray restarts a fetch actor by replaying its ORIGINAL constructor
@@ -144,21 +162,31 @@ def test_fetch_actor_restart_keeps_its_corpus(corpora, ray_session,
     A's index."""
     (corpus_a, _), (corpus_b, gold_b) = corpora["a"], corpora["b"]
     _crawl(corpus_a, "a")
-    submit = C._submit_windowed
-    killed = []
-
-    def kill_then_submit(task, head_args, items):
-        if task is C._fetch_window_sharded and not killed:
-            killed.append(head_args[0][0])
-            ray.kill(head_args[0][0], no_restart=False)
-        return submit(task, head_args, items)
-
-    monkeypatch.setattr(C, "_submit_windowed", kill_then_submit)
+    killed = _kill_first_fetch_actor(monkeypatch, 1)
     out = _crawl(corpus_b, "b")
     assert killed
     # the shard actors are reset to B; the fetch pool is new
     assert _spawned(out) == FETCH
     _assert_matches(out, gold_b)
+
+
+def test_restarted_fetch_actor_is_replaced(corpora, ray_session,
+                                            monkeypatch):
+    """A fetch actor's restart budget (``max_restarts=2``) spans its life.
+    One that spent both restarts in crawl A must not serve crawl B, or the
+    first death in B would fail the whole crawl."""
+    corpus, gold = corpora["a"]
+    C.shutdown_fleet()
+    killed = _kill_first_fetch_actor(monkeypatch, 2)
+    first = _crawl(corpus, "restarts_a")
+    assert len(killed) == 2 and killed[0] == killed[1]
+    _assert_matches(first, gold)
+    killed = _kill_first_fetch_actor(monkeypatch, 1)
+    second = _crawl(corpus, "restarts_b")
+    assert killed
+    # only the restarted fetch actor is new
+    assert _spawned(second) == 1
+    _assert_matches(second, gold)
 
 
 SESSION_SCRIPT = textwrap.dedent(

@@ -126,8 +126,8 @@ def test_lance_branch_roundtrip(ray_session, tmp_path):
 
 
 def test_oracle_import_leaves_ray_data_unloaded():
-    """The oracle travels by value into every fetch actor, which never
-    reads through Ray Data: importing it must not pull ``ray.data`` in."""
+    """Importing the oracle (which imports this module) must not pull
+    ``ray.data`` in: only ``read_images`` reads through Ray Data."""
     import os
     import subprocess
     import sys

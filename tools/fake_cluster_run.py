@@ -60,7 +60,11 @@ def main() -> int:
             out["err"] = f"probe actors on {spread}/3 nodes"
             return 1
 
-        from spider_ray.pipelines.crawl import run_crawl, read_sink
+        from spider_ray.pipelines.crawl import (
+            read_sink,
+            run_crawl,
+            shutdown_fleet,
+        )
         from spider_ray.pipelines.oracle import run_oracle
         from spider_ray.sources.webgen import generate
 
@@ -75,6 +79,7 @@ def main() -> int:
         t0 = time.time()
         res = run_crawl(corpus, crawl_out, num_shards=4, fetch_concurrency=6)
         crawl_wall = time.time() - t0
+        shutdown_fleet()
         out["crawl_pages"] = int(res["total_fetched"])
         out["crawl_pages_per_s"] = round(res["total_fetched"] / crawl_wall, 1)
 
