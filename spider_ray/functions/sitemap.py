@@ -180,29 +180,3 @@ def q_sitemap_seeds(corpus: str) -> pa.Table:
     return pa.table(
         {"host": cands["host"], "url": cands["url"], "known": known}
     )
-
-
-def augment_seeds(seeds: pa.Table, cand_urls: list[str]) -> pa.Table:
-    """Append sitemap-discovered URLs to a frontier_seed table (engine
-    and oracle share this mechanical step; each side supplies its OWN
-    independently-discovered ``cand_urls``, already in deterministic
-    (host, url) order). URLs textually present in the seed list are
-    skipped; appended rows carry the standard seed metadata (depth 0,
-    priority 5, empty referer) and the downstream canonicalize+seen
-    pass dedups any remaining aliases exactly like organic seeds."""
-    existing = set(seeds["url"].to_pylist())
-    add = [u for u in cand_urls if u not in existing]
-    if not add:
-        return seeds
-    n = len(add)
-    extra = pa.table(
-        {
-            "url": pa.array(add, pa.string()),
-            "resource_type": pa.array([1] * n),
-            "importance": pa.array([0.5] * n, pa.float64()),
-            "priority": pa.array([5] * n),
-            "depth": pa.array([0] * n),
-            "referer": pa.array([""] * n, pa.string()),
-        }
-    ).select(seeds.column_names)
-    return pa.concat_tables([seeds, extra.cast(seeds.schema)])

@@ -3,14 +3,15 @@
 Per generation (G2 loop semantics, SURVEY §3.3 — frontier[g] → schedule →
 fetch → extract → frontier[g+1]):
 
-1. candidate block refs → ONE ``ray.data`` ``map_batches`` operator that
-   normalizes (stateless canonicalize/rules/robots/bands, robots table
-   broadcast via ``ray.put``) and routes: each batch pushes every shard's
-   rows to that shard's ``ShardActor.enqueue`` (raw actor: the one
-   shared-mutable-state piece the Dataset API can't express);
-2. ``ShardActor.schedule_wave`` admits the enqueued rows against the
-   shard's seen-set and runs the politeness DES; it returns two refs —
-   the shard's stats and its timed fetch permits as one Arrow table;
+1. candidate block refs → one pure ``_normalize_split`` task per block:
+   normalize (stateless canonicalize/rules/robots/bands, robots table
+   broadcast via ``ray.put``), then split the accepted rows by shard. Not
+   Ray Data: a fixed ~80 ms per execution outweighs one or two blocks;
+2. ``ShardActor.schedule_wave`` (raw actor: the one shared-mutable-state
+   piece the Dataset API can't express) takes its part of every block as
+   arguments, admits the rows in ``seq`` order against the shard's
+   seen-set and runs the politeness DES; it returns two refs — the shard's
+   stats and its timed fetch permits as one Arrow table;
 3. permits → sort by the global crawl-order key → windowed dispatch to the
    ``FetchWorker`` actor pool holding the warm WebIndex slices (fetch-sim;
    HTML link extraction in parse mode);
@@ -20,11 +21,12 @@ fetch → extract → frontier[g+1]):
    first-wins on the shard actors and decodes/recompresses/phashes only
    the kept ones in the fetch pool;
 5. checkpoint per (gen, shard): scheduler state pickle + ``_DONE`` marker +
-   metrics rows → a killed run resumes at the last complete generation
-   without re-fetching (fetch lookups are counted to prove it).
+   metrics rows (counters, and the driver wall time of each step as the
+   ``PHASE_COLUMNS``) → a killed run resumes at the last complete
+   generation without re-fetching (fetch lookups are counted to prove it).
 
-Driver round trips per generation: one Ray Data execution (a task per
-candidate block, each making one ``enqueue`` call per shard present), one
+Driver round trips per generation: one ``_normalize_split`` task per
+candidate block and one ``ray.wait`` over their parts, one
 ``schedule_wave`` per shard (a single ``ray.get`` over the stats refs), one
 small-wave permit ``ray.get``, one ``_fetch_window_sharded`` task per
 ``DISPATCH_WINDOW`` permit blocks, one ``_derive_block`` task per fetched
@@ -75,19 +77,14 @@ import ray
 
 from spider_ray.kernels.hashing import hash64
 from spider_ray.pipelines.oracle import (
+    augment_seeds,
     load_corpus,
     load_corpus_control,
     load_corpus_shard,
-    permit_sort_key,
 )
-from spider_ray.stages.fetchsim import (
-    WebIndex,
-    fetch_one,
-    process_image,
-    result_to_rows,
-)
+from spider_ray.stages.fetchsim import WebIndex, fetch_one, process_image
 from spider_ray.stages.normalize import normalize_batch, shard_meta
-from spider_ray.state.load_controller import LoadOptions
+from spider_ray.state.load_controller import LoadOptions, apply_crawl_delays
 from spider_ray.state.scheduler import FetchPermit, ShardScheduler
 
 MAX_GENS = 8
@@ -153,35 +150,22 @@ class ShardActor:
         self.meta = shard_meta(
             corpus_dir, shard_id, num_shards, tuple(hot_hosts)
         )
-        self._buf: list[pa.Table] = []
 
     def release(self) -> None:
         self.sched = self.meta = None
-        self._buf = []
-
-    def enqueue(self, table: pa.Table) -> int:
-        """Streamed routing: map_batches tasks push this shard's rows here
-        as zero-copy Arrow tables; order is restored by seq at
-        schedule_wave time."""
-        self._buf.append(table)
-        return len(self._buf)
 
     @ray.method(num_returns=2)
-    def schedule_wave(self, wave_start: int) -> tuple[dict, pa.Table]:
-        """Admit the enqueued rows and run the politeness DES. Returns
+    def schedule_wave(
+        self, wave_start: int, *tables: pa.Table
+    ) -> tuple[dict, pa.Table]:
+        """Admit this shard's part of every candidate block (one table per
+        ``_normalize_split`` task) and run the politeness DES. Returns
         (stats, this shard's permits as one Arrow table): the driver
         ``ray.get``s only the stats ref and hands the permit ref straight
         to the permit sort / fetch stage."""
-        tables, self._buf = self._buf, []
         # arrow-kernel sort by seq BEFORE the one unavoidable to_pylist
         # (the DES consumes per-row dicts)
-        rows = (
-            pa.concat_tables(tables, promote_options="default")
-            .sort_by("seq")
-            .to_pylist()
-            if tables
-            else []
-        )
+        rows = pa.concat_tables(tables).sort_by("seq").to_pylist()
         accepted, hits = self.sched.admit(rows)
         permits = self.sched.run_wave(accepted, wave_start, self.meta)
         stats = {
@@ -289,10 +273,11 @@ class FetchWorker:
                 image_members=c["image_members"],
                 parse_html=parse_html,
             )
-        ctx = ray.get_runtime_context()
-        return ctx.get_actor_id() is not None and bool(
-            ctx.was_current_actor_reconstructed
-        )
+        # not was_current_actor_reconstructed: it reads the deprecated
+        # actor_id property, which logs a warning on every call
+        actor_id = ray.get_runtime_context().get_actor_id()
+        info = ray._private.state.actors(actor_id) if actor_id else {}
+        return bool(info) and info["NumRestarts"] != 0
 
     def release(self) -> None:
         self.index = None
@@ -704,6 +689,12 @@ CANDIDATE_SCHEMA = pa.schema(
     ]
 )
 
+# driver wall time of each numbered step of a generation, in metrics.parquet:
+# 1 normalize+route, 2 schedule, 3-4a permit sort + fetch + derive + status
+# sink, 4b image admit+process, 4c next candidates, 5 checkpoint
+PHASE_COLUMNS = ("route_s", "schedule_s", "fetch_s", "images_s",
+                 "candidates_s", "checkpoint_s")
+
 SORT_KEYS = [("fetch_ts", "ascending"), ("priority", "ascending"),
              ("gen", "ascending"), ("seq", "ascending"), ("host", "ascending")]
 DS_SORT_THRESHOLD = 200_000  # permits above this use a distributed ds.sort
@@ -788,7 +779,24 @@ def read_sink(dir_: str, base: str) -> pa.Table:
     )
 
 
-# --- per-block derivation (refs-mode wave flow) ----------------------------
+# --- per-block tasks (refs-mode wave flow) ---------------------------------
+
+
+@ray.remote
+def _normalize_split(block: pa.Table, robots: dict, num_shards: int,
+                     gen: int, hot_hosts: tuple[str, ...]):
+    """One candidate block → its accepted rows (``normalize_batch``) split
+    by shard; run with ``num_returns=num_shards``. Return s holds shard s's
+    rows, or none (same schema) where the block has none for it."""
+    out, _m = normalize_batch(
+        block, robots, num_shards, gen, hot_hosts=hot_hosts
+    )
+    out = out.sort_by("shard")
+    cuts = np.searchsorted(
+        out["shard"].to_numpy(), np.arange(num_shards + 1)
+    ).tolist()
+    parts = [out.slice(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+    return parts[0] if num_shards == 1 else tuple(parts)
 
 
 @ray.remote(num_returns=4)
@@ -976,18 +984,13 @@ def run_crawl(
         # dedup through the canonicalize+seen pass. The oracle runs an
         # independent single-process discovery (oracle.sitemap_seed_urls)
         # — crawl parity under this flag tests the whole chain.
-        from spider_ray.functions.sitemap import (
-            augment_seeds,
-            sitemap_candidates,
-        )
+        from spider_ray.functions.sitemap import sitemap_candidates
 
         c["seeds"] = augment_seeds(
             c["seeds"], sitemap_candidates(corpus_dir)["url"].to_pylist()
         )
     # robots Crawl-delay → per-host QPS caps (shared derivation with the
     # oracle: politeness parity by construction)
-    from spider_ray.state.load_controller import apply_crawl_delays
-
     c["load_rows"] = apply_crawl_delays(c["load_rows"], c["robots"], options)
     robots_ref = ray.put(c["robots"])
     # put the user handler once; every per-block task derefs the same object
@@ -1018,8 +1021,7 @@ def run_crawl(
     # everything from here on runs against live actors. Only a successful
     # crawl hands its fleet back to the session's idle list; ANY other exit
     # — mid-wave actor death, a driver exception, an interrupt — kills it,
-    # so no actor in an unknown state (half-enqueued buffers, a scheduler
-    # mid-wave) is ever reused
+    # so no actor in an unknown state (a scheduler mid-wave) is ever reused
     fleet = _Fleet()
     try:
         fleet.acquire(shard_args, fetch_args(fetch_concurrency))
@@ -1088,6 +1090,7 @@ def run_crawl(
                 if start_gen <= sag < gen:
                     stopped_by_control = True
                     break
+            gen_t0 = time.perf_counter()
             want = int(ctl.get("fetch_concurrency") or 0)
             if want > 0 and want != len(fleet.fetch_pool):
                 # index slices are a function of the pool size, so a
@@ -1106,54 +1109,38 @@ def run_crawl(
                 # (or fail) in read_sink. The retry owns the whole gen.
                 shutil.rmtree(gen_dir)
             os.makedirs(os.path.join(gen_dir, "ckpt"), exist_ok=True)
+            # driver-side phase marks, one per numbered step (PHASE_COLUMNS)
+            marks = [time.perf_counter()]
 
-            # 1. normalize + route in ONE map_batches operator over the
-            # candidate block refs (the wave enters as object-store blocks,
-            # not a driver table): canonicalize/rules/robots/bands (robots
-            # broadcast via ray.put), then push each shard's rows straight
-            # to its ShardActor — co-location by message passing instead of
-            # a groupby shuffle (the actor IS the partition owner; rows move
-            # exactly once). Order is restored by seq in-actor. Every call
-            # returns the same (shard, n) schema, even when normalize drops
-            # every row of the batch.
-            actor_list = list(actors)
-
-            def _norm_route(batch: pa.Table, g=gen) -> pa.Table:
-                out, _m = normalize_batch(
-                    batch, ray.get(robots_ref), num_shards, g,
-                    hot_hosts=hot_hosts,
+            # 1. normalize + route: one pure task per candidate block (the
+            # wave enters as object-store blocks, not a driver table)
+            # returns that block's accepted rows split by shard. The wait
+            # only closes the phase: every schedule_wave needs every block.
+            parts = [
+                _normalize_split.options(num_returns=num_shards).remote(
+                    b, robots_ref, num_shards, gen, hot_hosts
                 )
-                futs, counts = [], {}
-                for (sh,), sub in pl.from_arrow(out).group_by("shard"):
-                    futs.append(actor_list[int(sh)].enqueue.remote(sub.to_arrow()))
-                    counts[int(sh)] = sub.height
-                ray.get(futs)
-                return pa.table(
-                    {
-                        "shard": pa.array(list(counts), pa.int32()),
-                        "n": pa.array(list(counts.values()), pa.int64()),
-                    }
-                )
+                for b in cand_blocks
+            ]
+            if num_shards == 1:
+                parts = [[p] for p in parts]
+            part_refs = [r for p in parts for r in p]
+            ray.wait(part_refs, num_returns=len(part_refs), fetch_local=False)
+            marks.append(time.perf_counter())
 
-            # consume the routed dataset (one pass; side effects land in actors)
-            # max_retries=0: a task that dies AFTER some of its
-            # enqueue.remote calls committed must fail the run loudly
-            # (resume recovers at the last _DONE gen) — a silent Ray-level
-            # task retry would re-run every enqueue and double-count the
-            # duplicated candidate rows in the shard metrics
-            for _ in (
-                ray.data.from_arrow_refs(list(cand_blocks))
-                .map_batches(_norm_route, batch_format="pyarrow", max_retries=0)
-                .iter_batches(batch_size=None)
-            ):
-                pass
-
-            # 2. schedule each shard's wave (politeness DES in the actors).
-            # One call per shard returns two refs: the stats the driver reads,
-            # and the permits as an Arrow TABLE REF the driver only passes on.
-            sched_refs = [a.schedule_wave.remote(wave_start) for a in actors]
+            # 2. schedule each shard's wave (politeness DES in the actors):
+            # shard s gets part s of every block as call arguments. One call
+            # per shard returns two refs: the stats the driver reads, and the
+            # permits as an Arrow TABLE REF the driver only passes on.
+            sched_refs = [
+                a.schedule_wave.remote(wave_start, *(p[s] for p in parts))
+                for s, a in enumerate(actors)
+            ]
             wave_res = ray.get([st for st, _ in sched_refs])
+            # the calls are done: let the object store free the routed rows
+            del parts, part_refs
             permit_refs = [pt for _, pt in sched_refs]
+            marks.append(time.perf_counter())
             n_permits = sum(r["scheduled"] for r in wave_res)
 
             # 3. permits → global crawl-order sort → fetch pool. Small waves pull
@@ -1208,6 +1195,7 @@ def run_crawl(
                 n5 += int(((codes >= 500)).sum())
             status_writer.close(STATUS_SCHEMA)
             total_fetched += n_fetched
+            marks.append(time.perf_counter())
 
             # 4b. image sink: first-wins dedup on REFS via shard actors, then
             # decode/recompress/phash only the kept refs in the fetch pool.
@@ -1275,6 +1263,7 @@ def run_crawl(
                 img_writer.write(t)
             img_writer.close(IMAGE_SCHEMA)
             n_images = img_writer.n_rows
+            marks.append(time.perf_counter())
 
             # 4c. next-gen candidates: ALL retries (crawl order) then ALL
             # outlinks (crawl order) — identical sequence to the whole-wave
@@ -1297,6 +1286,7 @@ def run_crawl(
             cand_writer.close(CANDIDATE_SCHEMA.append(pa.field("seq", pa.int64())))
             cand_blocks = next_cand_refs
             cand_count = offset
+            marks.append(time.perf_counter())
 
             # 5. checkpoint: scheduler state per shard + wave clock + marker
             wave_start = max(r["clock"] for r in wave_res)
@@ -1306,14 +1296,18 @@ def run_crawl(
                     f.write(blob)
             with open(os.path.join(gen_dir, "ckpt", "wave_start.txt"), "w") as f:
                 f.write(str(wave_start))
+            marks.append(time.perf_counter())
             # per-(gen, shard) lineage + metrics rows (north rule: every
             # partition checkpoints its lineage and metrics); counters were
             # accumulated during the streaming sinks. driver_rss_kb proves the
             # block-ref wave flow: it must stay flat across generations even as
             # the frontier grows. fleet_ready_s / fleet_spawned are this
-            # run_crawl call's fleet cost so far (see _Fleet), repeated on
-            # every row.
+            # run_crawl call's fleet cost so far (see _Fleet), the phase
+            # columns and gen_wall_s this generation's driver wall time;
+            # all are repeated on every row.
             ready_s = fleet.ready_s()
+            phases = dict(zip(PHASE_COLUMNS, np.diff(marks).tolist()))
+            gen_wall_s = time.perf_counter() - gen_t0
             mrows = [
                 {
                     "gen": gen,
@@ -1337,6 +1331,8 @@ def run_crawl(
                     "driver_rss_kb": _driver_rss_kb(),
                     "fleet_ready_s": ready_s,
                     "fleet_spawned": fleet.spawned,
+                    **phases,
+                    "gen_wall_s": gen_wall_s,
                 }
                 for sh, res in enumerate(wave_res)
             ]

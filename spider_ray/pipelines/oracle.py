@@ -14,10 +14,12 @@ import pyarrow.parquet as pq
 
 from spider_ray.kernels.hashing import hash64
 from spider_ray.kernels.robots import parse_robots
-# module-level on purpose: load_corpus runs inside FetchWorker.__init__ on
-# Ray workers, where only pickle-by-value modules resolve — a function-level
-# import would re-import by NAME at call time and crash any worker that
-# cannot import the spider_ray package (the repo's worker-serialization rule)
+# module-level on purpose: load_corpus and load_corpus_shard run inside
+# FetchWorker.reset on Ray workers, where only pickle-by-value modules
+# resolve — a function-level import would re-import by NAME at call time and
+# crash any worker that cannot import the spider_ray package (the repo's
+# worker-serialization rule)
+from spider_ray.kernels import domtext
 from spider_ray.sources import lance_io
 from spider_ray.stages.fetchsim import (
     WebIndex,
@@ -26,7 +28,7 @@ from spider_ray.stages.fetchsim import (
     result_to_rows,
 )
 from spider_ray.stages.normalize import normalize_batch
-from spider_ray.state.load_controller import LoadOptions
+from spider_ray.state.load_controller import LoadOptions, apply_crawl_delays
 from spider_ray.state.scheduler import ShardScheduler
 
 MAX_GENS = 8
@@ -138,8 +140,6 @@ def load_corpus_shard(
 
     if parse_html:
         _attach_html_bodies(corpus_dir, pages)
-        from spider_ray.kernels.domtext import extract_links
-
         # parse mode: the membership set must cover the PARSED image
         # refs (identical to the table's on round-trip corpora, but
         # derive from the bytes to keep this loader honest); over-
@@ -147,7 +147,7 @@ def load_corpus_shard(
         referenced = {
             u
             for r in pages.values()
-            for u, _ in extract_links(r["_html"], r["url"])["images"]
+            for u, _ in domtext.extract_links(r["_html"], r["url"])["images"]
         }
     else:
         referenced = {
@@ -243,6 +243,32 @@ def sitemap_seed_urls(corpus_dir: str) -> list[str]:
     return [u for _, u in sorted(rows)]
 
 
+def augment_seeds(seeds: pa.Table, cand_urls: list[str]) -> pa.Table:
+    """Append sitemap-discovered URLs to a frontier_seed table (engine
+    and oracle share this mechanical step; each side supplies its OWN
+    independently-discovered ``cand_urls``, already in deterministic
+    (host, url) order). URLs textually present in the seed list are
+    skipped; appended rows carry the standard seed metadata (depth 0,
+    priority 5, empty referer) and the downstream canonicalize+seen
+    pass dedups any remaining aliases exactly like organic seeds."""
+    existing = set(seeds["url"].to_pylist())
+    add = [u for u in cand_urls if u not in existing]
+    if not add:
+        return seeds
+    n = len(add)
+    extra = pa.table(
+        {
+            "url": pa.array(add, pa.string()),
+            "resource_type": pa.array([1] * n),
+            "importance": pa.array([0.5] * n, pa.float64()),
+            "priority": pa.array([5] * n),
+            "depth": pa.array([0] * n),
+            "referer": pa.array([""] * n, pa.string()),
+        }
+    ).select(seeds.column_names)
+    return pa.concat_tables([seeds, extra.cast(seeds.schema)])
+
+
 def run_oracle(
     corpus_dir: str,
     num_shards: int = 4,
@@ -253,15 +279,11 @@ def run_oracle(
 ) -> dict:
     c = load_corpus(corpus_dir)
     if sitemap_seeds:
-        from spider_ray.functions.sitemap import augment_seeds
-
         c["seeds"] = augment_seeds(
             c["seeds"], sitemap_seed_urls(corpus_dir)
         )
     index = WebIndex(c["pages"], c["images"])
     meta = index.meta()
-    from spider_ray.state.load_controller import apply_crawl_delays
-
     c["load_rows"] = apply_crawl_delays(c["load_rows"], c["robots"], options)
     shards = [
         ShardScheduler(s, num_shards, c["load_rows"], options)

@@ -21,6 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# the module, not the function: a wrapper installed on
+# domtext.extract_links (perfbench's layer trace) must see the calls
+from spider_ray.kernels import domtext
 from spider_ray.kernels.imaging import decode_image, encode_image, phash64
 from spider_ray.state.proxy import pick_proxy_pure
 from spider_ray.state.scheduler import FetchPermit
@@ -115,9 +118,7 @@ def fetch_one(permit: FetchPermit, index: WebIndex) -> FetchResult:
     if index.parse_html:
         # real M8: parse the stored raw bytes (extraction only on
         # response 200, as the reference — css_fetcher_main.cc:160-164)
-        from spider_ray.kernels.domtext import extract_links
-
-        parsed = extract_links(row["_html"], effective)
+        parsed = domtext.extract_links(row["_html"], effective)
         outlink_pairs = parsed["anchors"]  # [(url, text)], deduped
         image_pairs = parsed["images"]  # [(url, alt)], deduped
     else:

@@ -2,9 +2,9 @@
 (M1), filter rules (M3), host extraction (M6), hashes, robots level (M4),
 score → priority bands (O6/T4), shard assignment.
 
-One pure function over a pyarrow batch, used identically by the Ray
-`map_batches` stage and the single-process oracle — the parity seam from
-SURVEY §7.4.1.
+One pure function over a pyarrow batch, used identically by the crawl's
+normalize task (``_normalize_split`` in ``pipelines/crawl.py``) and the
+single-process oracle — the parity seam from SURVEY §7.4.1.
 
 Candidate batch schema in:  url, depth, tried, priority (nullable), referer
 Batch schema out (accepted): url (canonical), url_hash (u64), host,

@@ -109,6 +109,12 @@ def test_metrics_written(engine_out):
     assert sum(per_gen.values()) == engine_out["total_fetched"]
     # one call, no pool resize: the same fleet values on every row
     assert len({(r["fleet_ready_s"], r["fleet_spawned"]) for r in rows}) == 1
+    # the driver's phase times: non-negative, within the generation's wall
+    from spider_ray.pipelines.crawl import PHASE_COLUMNS
+
+    for r in rows:
+        assert all(r[k] >= 0 for k in PHASE_COLUMNS)
+        assert sum(r[k] for k in PHASE_COLUMNS) <= r["gen_wall_s"]
 
 
 def test_metrics_parity_with_oracle(engine_out, oracle_out):

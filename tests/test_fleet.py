@@ -5,6 +5,7 @@ match the single-process oracle byte for byte."""
 
 import glob
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -187,6 +188,22 @@ def test_restarted_fetch_actor_is_replaced(corpora, ray_session,
     # only the restarted fetch actor is new
     assert _spawned(second) == 1
     _assert_matches(second, gold)
+
+
+def test_fetch_actor_reset_logs_no_deprecation(corpora, ray_session):
+    """``FetchWorker.reset`` reads the actor's restart count without Ray's
+    deprecated ``actor_id`` property, whose warning would otherwise land
+    in a worker log on every reset."""
+    corpus, gold = corpora["a"]
+    _assert_matches(_crawl(corpus, "logs"), gold)
+    logs = ray._private.worker._global_node.get_logs_dir_path()
+    noisy = [
+        path
+        for path in glob.glob(os.path.join(logs, "worker-*"))
+        if "Use get_actor_id() instead"
+        in pathlib.Path(path).read_text(errors="replace")
+    ]
+    assert not noisy
 
 
 SESSION_SCRIPT = textwrap.dedent(

@@ -112,11 +112,14 @@ def _sink_bytes(out_dir: str) -> dict[str, bytes]:
 def _metrics_rows(out_dir: str) -> list[dict]:
     import pyarrow.parquet as pq
 
+    from spider_ray.pipelines.crawl import PHASE_COLUMNS
+
     rows = []
     for f in sorted(glob.glob(os.path.join(out_dir, "gen=*", "metrics.parquet"))):
         for r in pq.read_table(f).to_pylist():
             # measurements of the run itself, not of the crawl
-            for k in ("driver_rss_kb", "fleet_ready_s", "fleet_spawned"):
+            for k in ("driver_rss_kb", "fleet_ready_s", "fleet_spawned",
+                      *PHASE_COLUMNS, "gen_wall_s"):
                 r.pop(k, None)
             rows.append(r)
     return rows

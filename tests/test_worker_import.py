@@ -37,6 +37,38 @@ def test_crawl_from_bare_driver_no_pythonpath(tmp_path):
     assert "WORKER_IMPORT_OK" in p.stdout, p.stdout + p.stderr
 
 
+def test_parse_html_crawl_from_bare_driver(tmp_path):
+    """Parse mode runs the HTML link extractor in the fetch actors, both
+    when a fetch actor builds its index slice and on every fetched page.
+    Neither may import it by name on the worker."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = tmp_path / "driver.py"
+    corpus, out_dir = tmp_path / "corpus", tmp_path / "out"
+    script.write_text(textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {repo!r})
+        import ray
+        ray.init(address="local", num_cpus=2, include_dashboard=False,
+                 log_to_driver=False, logging_level="ERROR")
+        from spider_ray.pipelines.crawl import run_crawl
+        from spider_ray.sources.webgen import generate
+        generate({str(corpus)!r}, n_pages=60, n_hosts=4, seed=3,
+                 html_bodies=True)
+        res = run_crawl({str(corpus)!r}, {str(out_dir)!r}, num_shards=2,
+                        fetch_concurrency=1, max_gens=2, parse_html=True)
+        assert res["total_fetched"] > 0
+        print("PARSE_IMPORT_OK", res["total_fetched"])
+        ray.shutdown()
+    """))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    p = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True, text=True, cwd=str(tmp_path), env=env,
+        timeout=300,
+    )
+    assert "PARSE_IMPORT_OK" in p.stdout, p.stdout[-3000:] + p.stderr[-3000:]
+
+
 def test_neardup_queries_from_bare_driver(tmp_path):
     """Regression for the inline-import-in-worker-closure bug found in
     q_embedding_neardup (dedup.py): its per-batch closure imported
