@@ -12,35 +12,40 @@ fetch → extract → frontier[g+1]):
    arguments, admits the rows in ``seq`` order against the shard's
    seen-set and runs the politeness DES; it returns two refs — the shard's
    stats and its timed fetch permits as one Arrow table;
-3. permits → sort by the global crawl-order key → windowed dispatch to the
-   ``FetchWorker`` actor pool holding the warm WebIndex slices (fetch-sim;
-   HTML link extraction in parse mode);
-4. one ``_derive_block`` task per fetched block (optional result handler
-   first) returns status rows, image refs, retry and outlink candidates;
-   the driver streams them into per-gen parquet sinks, admits image refs
-   first-wins on the shard actors and decodes/recompresses/phashes only
-   the kept ones in the fetch pool;
+3. permits → sort by the global crawl-order key → permit chunks; the driver
+   splits each chunk by owner (``hash64(url) % pool``) and sends each
+   ``FetchWorker`` that holds a warm WebIndex slice one ``fetch_derive``
+   call with its rows, tagged with their position in the chunk;
+4. that call fetches (fetch-sim; HTML link extraction in parse mode), runs
+   the optional result handler and derives status rows, image refs, retry
+   and outlink candidates in the actor — the reference's crawler, too,
+   hands a page to its in-process ``CrawlTaskHandler``. The driver merges
+   the owners' parts back into crawl order by position while streaming
+   them into per-gen parquet sinks, admits image refs first-wins on the
+   shard actors and sends the kept ones to their owners'
+   ``process_refs_pos`` (decode/recompress/phash), merged the same way;
 5. checkpoint per (gen, shard): scheduler state pickle + ``_DONE`` marker +
    metrics rows (counters, and the driver wall time of each step as the
    ``PHASE_COLUMNS``) → a killed run resumes at the last complete
    generation without re-fetching (fetch lookups are counted to prove it).
 
 Driver round trips per generation: one ``_normalize_split`` task per
-candidate block and one ``ray.wait`` over their parts, one
-``schedule_wave`` per shard (a single ``ray.get`` over the stats refs), one
-small-wave permit ``ray.get``, one ``_fetch_window_sharded`` task per
-``DISPATCH_WINDOW`` permit blocks, one ``_derive_block`` task per fetched
-block, one ``admit_images`` call per shard per window of image-ref blocks,
-one ``_process_refs_window_sharded`` task per window of kept-ref chunks, and
-one batched ``ray.get`` of the shard ``state_dict`` blobs. The next wave's
-start clock is the max of the ``clock`` values ``schedule_wave`` returned.
+candidate block and one ``ray.wait`` over their parts (the generation's only
+Ray tasks), one ``schedule_wave`` per shard (a single ``ray.get`` over the
+stats refs), one small-wave permit ``ray.get``, then per permit chunk of
+``PERMIT_CHUNK`` rows one ``fetch_derive`` call per owner, one
+``admit_images`` call per shard, one ``process_refs_pos`` call per owner
+and one ``ray.get`` in each sink; last, one batched ``ray.get`` of the
+shard ``state_dict`` blobs. The next wave's start clock is the max of the
+``clock`` values ``schedule_wave`` returned.
 
 The wave flows by OBJECT-STORE BLOCK REFS end to end: candidates enter as
 block refs, permits come back from the shard actors as per-shard Arrow table
 refs, big waves sort distributed (ray.data over those refs), fetched blocks
-stay in the object store, and every sink (status / images / next-candidates /
-seen) streams one small derived block at a time through a ParquetWriter —
-driver RSS is bounded by a single block regardless of wave or frontier size.
+never leave the fetch actors, and every sink (status / images /
+next-candidates / seen) streams one permit chunk's small derived tables at
+a time through a ParquetWriter — driver RSS is bounded by a few blocks
+regardless of wave or frontier size.
 Small waves (≤ DS_SORT_THRESHOLD permits) take a driver-side shortcut for the
 permit sort only; both paths produce byte-identical output
 (test_distributed_sort_path_identical forces the refs path).
@@ -114,6 +119,11 @@ PERMIT_SCHEMA = pa.schema(
         ("referer", pa.string()),
     ]
 )
+
+# a fetch-actor output row's position in the driver's permit chunk (or
+# kept-ref list): the key the driver merges the owners' parts on
+POS = "_pos"
+POS_FIELD = pa.field(POS, pa.int64())
 
 
 def _preload_ray_data() -> None:
@@ -222,22 +232,23 @@ class ShardActor:
 
 
 class FetchWorker:
-    """Actor-pool fetch + decode stage: WebIndex built once per actor in
-    ``__init__`` (T6 warm state), per-batch work is fetch-sim + image
-    decode/recompress/phash.
+    """Actor-pool fetch + derive + decode stage: WebIndex built once per
+    actor in ``__init__`` (T6 warm state), per-chunk work is fetch-sim, the
+    result handler and the derivations (``fetch_derive``), then image
+    decode/recompress/phash (``process_refs_pos``).
 
     With ``num_owners > 1`` (the crawl loop's fetch pool) each actor
     holds only its SLICE of the simulated web — pages by URL hash
     (NOT host hash: fetch-sim is per-URL pure and URL hashing stays
     balanced under hot hosts), image payloads by image_id hash
     (``oracle.load_corpus_shard``) — so per-actor RSS is
-    O(corpus / pool) instead of O(corpus). The wave dispatch routes
-    permits and image refs to the owning actor BY THE SAME KEYS
-    (hash64(url) / hash64(image_id) mod pool — the dispatch key and the
-    slice predicate must stay aligned or lookups silently 404) and
-    reassembles results in original order (``_fetch_window_sharded`` /
-    ``_process_refs_window_sharded``). ``num_owners == 1`` keeps the
-    full index (the single-actor / test construction).
+    O(corpus / pool) instead of O(corpus). The driver routes permits and
+    image refs to the owning actor BY THE SAME KEYS (``_by_owner``:
+    hash64(url) / hash64(image_id) mod pool — the dispatch key and the
+    slice predicate must stay aligned or lookups silently 404) and merges
+    the results back into crawl order on the ``POS`` column every output
+    row carries. ``num_owners == 1`` keeps the full index (the
+    single-actor / test construction).
 
     In the crawl's warm fleet ``reset`` rebuilds the index for the next
     crawl and ``release`` drops it while the actor sits idle; the fleet
@@ -344,23 +355,31 @@ class FetchWorker:
             }
         )
 
+    @ray.method(num_returns=4)
+    def fetch_derive(self, handler, permits: pa.Table):
+        """Fetch this owner's rows of one permit chunk and derive from them
+        in place (``_derive_block``, result handler first). Every output
+        row carries its permit's ``POS``, so the driver can merge the
+        owners' parts back into crawl order. Pure per permit, so Ray may
+        retry it on a restarted actor."""
+        block = self.fetch_batch(permits).append_column(POS, permits[POS])
+        return _derive_block(handler, block)
+
     def process_refs_pos(
         self, refs: list[dict], gen: int, positions: list[int]
-    ) -> tuple[pa.Table, list[int]]:
+    ) -> pa.Table:
         """Decode/recompress/phash the deduped image refs (post-dedup only —
-        each unique image is processed exactly once per run) and return
-        the surviving original positions, so the sharded dispatch
-        (``_process_refs_window_sharded``) can reassemble the per-owner
-        results into the caller's original ref order."""
-        rows, kept = [], []
+        each unique image is processed exactly once per run). Each row
+        keeps its ref's position in ``POS``, so the driver can merge the
+        owners' parts back into the kept refs' order."""
+        rows = []
         for r, p in zip(refs, positions):
             row = self.index.images.get(r["image_id"])
             if row is not None:
                 rows.append(
-                    {**process_image(row, r["alt"]), "first_gen": gen}
+                    {**process_image(row, r["alt"]), "first_gen": gen, POS: p}
                 )
-                kept.append(p)
-        return pa.Table.from_pylist(rows, schema=IMAGE_SCHEMA), kept
+        return pa.Table.from_pylist(rows, schema=IMAGE_SCHEMA.append(POS_FIELD))
 
 
 IMAGE_SCHEMA = pa.schema(
@@ -405,104 +424,11 @@ STATUS_SCHEMA = pa.schema(
 )
 
 
-# Dispatch shims for the SHARDED fetch pool: pure reassembly — results are
-# bit-identical to sending the whole block to one full-index actor, because
-# fetch-sim rows are pure per-permit functions and take() restores the
-# caller's row order. WINDOWED on purpose: one shim task routes a GROUP of
-# blocks with exactly |pool| batched sub-calls and hands back per-block
-# results via num_returns — per-block × per-owner fan-out (measured 24×
-# dispatch slowdown: a 0-cpu worker spawn per chunk plus F tiny RPCs each)
-# never happens. num_cpus=0: the shim only splits, awaits and concatenates.
-
-DISPATCH_WINDOW = 16  # blocks routed per shim task
-
-
-@ray.remote(num_cpus=0)
-def _fetch_window_sharded(pool: list, *blocks: pa.Table):
-    t = pa.concat_tables(blocks, promote_options="default")
-    if t.num_rows == 0:
-        # a window of all-empty blocks (range-partition sorts emit empty
-        # blocks under heavy key concentration, e.g. hot-host runs):
-        # np.concatenate/pa.concat_tables over zero owner groups would
-        # raise — produce correctly-schema'd empty fetch outputs instead
-        empty = ray.get(pool[0].fetch_batch.remote(t))
-        return (
-            empty
-            if len(blocks) == 1
-            else tuple(empty.slice(0, 0) for _ in blocks)
-        )
-    owners = (
-        hash64(t["url"]) % np.uint64(len(pool))
-    ).astype(np.int64)
-    futs, idxs = [], []
-    for o in np.unique(owners):
-        ix = np.flatnonzero(owners == o)
-        futs.append(pool[int(o)].fetch_batch.remote(t.take(ix)))
-        idxs.append(ix)
-    parts = ray.get(futs)
-    order = np.argsort(np.concatenate(idxs), kind="stable")
-    merged = pa.concat_tables(parts, promote_options="default").take(order)
-    out, off = [], 0
-    for b in blocks:
-        out.append(merged.slice(off, b.num_rows))
-        off += b.num_rows
-    return out[0] if len(out) == 1 else tuple(out)
-
-
-@ray.remote(num_cpus=0)
-def _process_refs_window_sharded(pool: list, gen: int, *ref_lists):
-    def empties():
-        e = pa.Table.from_pylist([], schema=IMAGE_SCHEMA)
-        return e if len(ref_lists) == 1 else tuple(e for _ in ref_lists)
-
-    flat = [r for lst in ref_lists for r in lst]
-    if not flat:
-        return empties()
-    owners = (
-        hash64([r["image_id"] for r in flat]) % np.uint64(len(pool))
-    ).astype(np.int64)
-    futs = []
-    for o in np.unique(owners):
-        ix = np.flatnonzero(owners == o)
-        futs.append(
-            pool[int(o)].process_refs_pos.remote(
-                [flat[i] for i in ix], gen, [int(i) for i in ix]
-            )
-        )
-    parts = ray.get(futs)
-    pos = np.concatenate(
-        [np.asarray(k, dtype=np.int64) for _, k in parts]
-    )
-    order = np.argsort(pos, kind="stable")
-    merged = pa.concat_tables(
-        [t for t, _ in parts], promote_options="default"
-    ).take(order)
-    pos_sorted = pos[order]
-    bounds = np.cumsum([len(lst) for lst in ref_lists])
-    cuts = np.searchsorted(pos_sorted, bounds, side="left")
-    out, prev = [], 0
-    for c in cuts:
-        out.append(merged.slice(prev, int(c) - prev))
-        prev = int(c)
-    return out[0] if len(out) == 1 else tuple(out)
-
-
-def _submit_windowed(task, head_args: tuple, items: list) -> list:
-    """Submit ``items`` through ``task`` in DISPATCH_WINDOW groups with
-    ``num_returns`` matching the group size; returns one ObjectRef per
-    item, in item order."""
-    refs: list = []
-    for i in range(0, len(items), DISPATCH_WINDOW):
-        grp = items[i : i + DISPATCH_WINDOW]
-        r = task.options(num_returns=len(grp)).remote(*head_args, *grp)
-        refs.extend([r] if len(grp) == 1 else r)
-    return refs
-
-
 # Fetch actors are deterministic and stateless across calls (a restart
 # rebuilds the WebIndex in __init__), so Ray may transparently restart one
-# that dies and retry its in-flight batch — fetch-sim results are pure
-# functions of the permit row. The restart budget spans the actor's life,
+# that dies and retry its in-flight calls — a fetch_derive result is a pure
+# function of its permit rows (and the handler), and process_refs_pos of
+# its refs. The restart budget spans the actor's life,
 # not one crawl, so the warm fleet replaces an idle fetch actor that has
 # restarted before (its reset says so) and every crawl starts with the full
 # budget. A restart also replays the ORIGINAL constructor args: that is why
@@ -779,7 +705,7 @@ def read_sink(dir_: str, base: str) -> pa.Table:
     )
 
 
-# --- per-block tasks (refs-mode wave flow) ---------------------------------
+# --- per-block work (refs-mode wave flow) ----------------------------------
 
 
 @ray.remote
@@ -799,24 +725,24 @@ def _normalize_split(block: pa.Table, robots: dict, num_shards: int,
     return parts[0] if num_shards == 1 else tuple(parts)
 
 
-@ray.remote(num_returns=4)
 def _derive_block(handler, block: pa.Table):
-    """One fetched block → (status rows, image refs, retry candidates,
-    outlink candidates): SMALL derived tables, each its own ObjectRef, so
-    the heavy fetched block itself never lands on the driver.
+    """One owner's fetched rows of a permit chunk → (status rows, image
+    refs, retry candidates, outlink candidates), each row tagged with its
+    permit's ``POS``. Runs inside the fetch actor (``fetch_derive``), so
+    the fetched block itself never leaves it.
 
     ``handler`` is the user extension seam — the CrawlTaskHandler analog
     (reference crawler.h:29-35, wired in crawler_main.cc:65-75): an optional
-    callable applied to the block BEFORE the derivations, running
-    distributed (it is ``ray.put`` once and dereferenced per task, never
+    callable applied to the block BEFORE the derivations, in the owning
+    fetch actor (it is ``ray.put`` once and dereferenced per call, never
     re-shipped per batch). It may filter rows, rewrite values, or append
     columns (appended columns flow into the status sink); it must preserve
-    the FetchWorker output columns the derivations read.
+    the FetchWorker output columns the derivations read, ``POS`` included.
 
-    Image refs keep global crawl order and in-page order (polars explode
-    keeps both). The wave-level candidate sequence is ALL retries (block
-    order) then ALL outlinks (block order) — the seq-assignment seam the
-    oracle shares."""
+    Image refs keep in-page order (polars explode keeps it) and the driver's
+    stable merge on ``POS`` restores crawl order. The wave-level candidate
+    sequence is ALL retries (crawl order) then ALL outlinks (crawl order) —
+    the seq-assignment seam the oracle shares."""
     if handler is not None:
         out = handler(block)
         missing = [c for c in block.column_names if c not in out.column_names]
@@ -827,7 +753,7 @@ def _derive_block(handler, block: pa.Table):
         block = out
     fdf = pl.from_arrow(block)
     image_refs = (
-        fdf.select("images")
+        fdf.select(POS, "images")
         .explode("images")
         .drop_nulls("images")
         .unnest("images")
@@ -838,9 +764,10 @@ def _derive_block(handler, block: pa.Table):
         (pl.col("tried") + 1).cast(pl.Int16).alias("tried"),
         pl.col("priority").cast(pl.Int16),
         pl.col("referer"),
+        pl.col(POS),
     )
     outlinks = (
-        fdf.select(pl.col("effective_url"), pl.col("outlinks"))
+        fdf.select(POS, "effective_url", "outlinks")
         .explode("outlinks")
         .drop_nulls("outlinks")
         .unnest("outlinks")
@@ -850,14 +777,66 @@ def _derive_block(handler, block: pa.Table):
             pl.lit(0, dtype=pl.Int16).alias("tried"),
             pl.lit(None, dtype=pl.Int16).alias("priority"),
             pl.col("effective_url").alias("referer"),
+            pl.col(POS),
         )
     )
+    schema = CANDIDATE_SCHEMA.append(POS_FIELD)
     return (
         block.drop_columns(["outlinks", "images"]),
         image_refs.to_arrow(),
-        retries.to_arrow().cast(CANDIDATE_SCHEMA),
-        outlinks.to_arrow().cast(CANDIDATE_SCHEMA),
+        retries.to_arrow().cast(schema),
+        outlinks.to_arrow().cast(schema),
     )
+
+
+# --- owner routing (driver side) ------------------------------------------
+
+
+def _by_owner(hashes: np.ndarray, pool_size: int):
+    """(owner, row indices) for each owner of some of the rows with these
+    hash64 keys, owner ``hash % pool_size``: the predicate
+    ``load_corpus_shard`` slices the corpus by, and the shard actors' split
+    of image hashes."""
+    owners = hashes % np.uint64(pool_size)
+    for o in np.unique(owners):
+        yield int(o), np.flatnonzero(owners == o)
+
+
+def _dispatch_fetch(pool: list, handler, blocks) -> list[list]:
+    """Send each sorted permit block's rows to the fetch actors that own
+    them, tagged with their position in the block: one ``fetch_derive``
+    call per owner. Returns, per block, its calls (four refs each). An
+    empty block (range-partition sorts emit them under key concentration)
+    makes no call and no entry."""
+    calls = []
+    for b in blocks:
+        if b.num_rows == 0:
+            continue
+        b = b.append_column(POS, pa.array(np.arange(b.num_rows), pa.int64()))
+        calls.append([
+            pool[o].fetch_derive.remote(handler, b.take(ix))
+            for o, ix in _by_owner(hash64(b["url"]), len(pool))
+        ])
+    return calls
+
+
+# permit rows per fetch chunk, the unit of one fetch_derive call per owner,
+# of one ray.get per sink and of one image-admit round. Big enough that a
+# chunk's fixed costs (an actor call with four returns per owner, a get)
+# stay small next to its fetches at any pool size; the driver holds one
+# chunk's small derived tables at a time.
+PERMIT_CHUNK = 2048
+
+
+def _pull_merged(groups: list[list]):
+    """Yield each group of owner parts as one table in its chunk's order,
+    ``POS`` dropped. The sort runs for one owner too (a result handler may
+    reorder its rows) and is stable, so the rows one permit emits (its
+    images, its outlinks) keep their order."""
+    for g in groups:
+        t = pa.concat_tables(ray.get(g), promote_options="default")
+        t = t.take(np.argsort(t[POS].to_numpy(), kind="stable"))
+        yield t.drop_columns([POS])
 
 
 def run_crawl(
@@ -881,12 +860,15 @@ def run_crawl(
 
     ``result_handler`` is the user-extension seam (§2.10; reference
     ``CrawlTaskHandler``, crawler.h:29-35): an optional picklable callable
-    ``pa.Table -> pa.Table`` applied to every fetched block, distributed,
-    before the status / image / candidate derivations (see
-    ``_derive_block``). ``None`` (default) keeps the engine's exact
-    oracle-parity behavior; a handler that filters rows or rewrites
-    outlink/retry columns deliberately changes the downstream crawl — that
-    is the point of the hook, and it is the caller's contract.
+    ``pa.Table -> pa.Table`` that runs inside the owning fetch actor, on
+    that owner's fetched rows of each permit chunk, before the status /
+    image / candidate derivations (see ``_derive_block``). It must keep
+    every column it is given, the ``POS`` position column included; the
+    driver merges on it, so the sink rows come back in crawl order.
+    ``None`` (default) keeps the engine's exact oracle-parity behavior; a
+    handler that filters rows or rewrites outlink/retry columns
+    deliberately changes the downstream crawl — that is the point of the
+    hook, and it is the caller's contract.
 
     ``hot_ips`` is the IP-level diversion valve (J4,
     ip_url_split.cc:21,85-97): every host whose resolved IP (per
@@ -993,7 +975,7 @@ def run_crawl(
     # oracle: politeness parity by construction)
     c["load_rows"] = apply_crawl_delays(c["load_rows"], c["robots"], options)
     robots_ref = ray.put(c["robots"])
-    # put the user handler once; every per-block task derefs the same object
+    # put the user handler once; every fetch_derive call derefs the same object
     handler_ref = ray.put(result_handler) if result_handler is not None else None
     options_dict = (options or LoadOptions()).__dict__
 
@@ -1146,47 +1128,40 @@ def run_crawl(
             # 3. permits → global crawl-order sort → fetch pool. Small waves pull
             # the bounded permit tables and sort with the arrow kernel; waves
             # past DS_SORT_THRESHOLD sort distributed (ray.data over the refs)
-            # and the sorted blocks go straight to the fetch actors. SORT_KEYS
-            # is a total order, so both paths yield the identical global row
-            # sequence (asserted by test_distributed_sort_path_identical).
+            # and the driver pulls one sorted block at a time to route it.
+            # SORT_KEYS is a total order, so both paths yield the identical
+            # global row sequence (asserted by
+            # test_distributed_sort_path_identical).
             if n_permits <= DS_SORT_THRESHOLD:
-                permits_t = pa.concat_tables(
-                    ray.get(permit_refs), promote_options="default"
-                ).sort_by(SORT_KEYS)
-                fetch_in = _chunks(permits_t, 256) if permits_t.num_rows else []
+                fetch_in = _chunks(
+                    pa.concat_tables(
+                        ray.get(permit_refs), promote_options="default"
+                    ).sort_by(SORT_KEYS),
+                    PERMIT_CHUNK,
+                )
             else:
                 sorted_ds = ray.data.from_arrow_refs(permit_refs).sort(
                     [k for k, _ in SORT_KEYS]
                 )
-                fetch_in = list(sorted_ds.materialize().to_arrow_refs())
-            fetched_refs = _submit_windowed(
-                _fetch_window_sharded, (fleet.fetch_pool,), fetch_in
+                fetch_in = (
+                    ray.get(r) for r in sorted_ds.materialize().to_arrow_refs()
+                )
+
+            # 4. one fetch_derive call per owner per chunk (result handler
+            # and derivations in the fetch actor), submitted up front and
+            # consumed in global crawl order: the fetched blocks stay in the
+            # actors; the driver only merges SMALL derived tables, a chunk
+            # at a time, into parquet sinks (RSS stays flat no matter the
+            # wave size).
+            fetched = _dispatch_fetch(fleet.fetch_pool, handler_ref, fetch_in)
+            status_groups, imref_groups, retry_groups, outlink_groups = (
+                [[c[k] for c in calls] for calls in fetched] for k in range(4)
             )
-
-            # 4. one derivation task per fetched block (result handler first),
-            # submitted up front and consumed in global crawl order — the
-            # heavy fetched blocks stay in the object store; the driver only
-            # streams SMALL derived tables, one block at a time, into parquet
-            # sinks (RSS stays flat no matter the wave size).
-            derived = [_derive_block.remote(handler_ref, r) for r in fetched_refs]
-            status_refs, imref_refs, retry_refs, outlink_refs = (
-                [d[k] for d in derived] for k in range(4)
-            )
-
-            # Windowed pulls: one ray.get round-trip per WINDOW blocks instead
-            # of per block (a 16-shard wave can produce dozens of sorted
-            # blocks; strictly per-block gets made the driver latency-bound).
-            # Memory stays bounded: ≤ WINDOW small derived blocks at a time.
-            WINDOW = 8
-
-            def _iter_windowed(refs):
-                for i in range(0, len(refs), WINDOW):
-                    yield from ray.get(list(refs[i : i + WINDOW]))
 
             # 4a. status sink (streamed, global crawl order, rolled parts)
             n_fetched = n2 = n4 = n5 = 0
             status_writer = RollingWriter(gen_dir, "status")
-            for st in _iter_windowed(status_refs):
+            for st in _pull_merged(status_groups):
                 status_writer.write(st)
                 n_fetched += st.num_rows
                 codes = st["status"].to_numpy(zero_copy_only=False)
@@ -1198,68 +1173,49 @@ def run_crawl(
             marks.append(time.perf_counter())
 
             # 4b. image sink: first-wins dedup on REFS via shard actors, then
-            # decode/recompress/phash only the kept refs in the fetch pool.
-            # Admit SUBMISSION stays strictly in crawl order (actor tasks from
-            # one caller execute in submission order, so each shard sees the
-            # same hash sequence as the whole-wave path — the parity seam is
-            # block-size-invariant); result GATHERING is pipelined one window
-            # behind submission, overlapping admits with routing.
-            img_futs = []
+            # decode/recompress/phash only the kept refs on their owning
+            # fetch actors. Admit SUBMISSION stays strictly in crawl order
+            # (actor tasks from one caller execute in submission order, so
+            # each shard sees the same hash sequence as the whole-wave path —
+            # the parity seam is block-size-invariant); result GATHERING is
+            # pipelined one chunk behind submission, overlapping admits
+            # with routing.
+            img_groups = []
 
-            def _drain(window):
-                if not window:
+            def _drain(pending):
+                if not pending:
                     return
-                entries, futs = window
-                # ONE batched round-trip for the window's shard admits —
-                # a per-shard ray.get loop serializes a driver RTT per
-                # shard, exactly the latency the windowing exists to avoid
-                got = ray.get(list(futs.values()))
-                results = dict(zip(futs.keys(), got))
-                for refs_t, rec in entries:
-                    keep = np.zeros(refs_t.num_rows, dtype=bool)
-                    for s, (idxs, start) in rec.items():
-                        keep[idxs] = results[s][start : start + len(idxs)]
-                    kept = refs_t.filter(pa.array(keep)).to_pylist()
-                    chunk_lists = [
-                        kept[j : j + 64] for j in range(0, len(kept), 64)
-                    ]
-                    img_futs.extend(
-                        _submit_windowed(
-                            _process_refs_window_sharded,
-                            (fleet.fetch_pool, gen),
-                            chunk_lists,
-                        )
+                refs_t, idxs, futs = pending
+                # ONE batched round-trip for the chunk's shard admits
+                keep = np.zeros(refs_t.num_rows, dtype=bool)
+                for ix, got in zip(idxs, ray.get(futs)):
+                    keep[ix] = got
+                kept = refs_t.filter(pa.array(keep)).to_pylist()
+                if not kept:
+                    return
+                ih = hash64([r["image_id"] for r in kept])
+                img_groups.append([
+                    fleet.fetch_pool[o].process_refs_pos.remote(
+                        [kept[j] for j in ix], gen, ix.tolist()
                     )
+                    for o, ix in _by_owner(ih, len(fleet.fetch_pool))
+                ])
 
-            prev_window = None
-            for i in range(0, len(imref_refs), WINDOW):
-                # ONE admit RPC per shard per window: the window's blocks are
-                # walked in crawl order and each shard's hashes concatenate in
-                # that order, so the per-shard admit sequence is identical to
-                # the per-block (and whole-wave) construction
-                per_shard: dict[int, list] = {}
-                entries = []
-                for refs_t in ray.get(list(imref_refs[i : i + WINDOW])):
-                    if refs_t.num_rows == 0:
-                        continue
-                    ih = hash64(refs_t["image_id"])
-                    shard_of = (ih % np.uint64(num_shards)).astype(np.int64)
-                    rec = {}
-                    for s in np.unique(shard_of):
-                        idxs = np.flatnonzero(shard_of == s)
-                        lst = per_shard.setdefault(int(s), [])
-                        rec[int(s)] = (idxs, len(lst))
-                        lst.extend(int(h) for h in ih[idxs])
-                    entries.append((refs_t, rec))
-                futs = {
-                    s: actors[s].admit_images.remote(h)
-                    for s, h in per_shard.items()
-                }
-                _drain(prev_window)
-                prev_window = (entries, futs)
-            _drain(prev_window)
+            pending = None
+            for refs_t in _pull_merged(imref_groups):
+                if refs_t.num_rows == 0:
+                    continue
+                # ONE admit RPC per shard per chunk, its hashes in crawl order
+                ih = hash64(refs_t["image_id"])
+                idxs, futs = [], []
+                for s, ix in _by_owner(ih, num_shards):
+                    idxs.append(ix)
+                    futs.append(actors[s].admit_images.remote(ih[ix].tolist()))
+                _drain(pending)
+                pending = (refs_t, idxs, futs)
+            _drain(pending)
             img_writer = RollingWriter(gen_dir, "images")
-            for t in _iter_windowed(img_futs):
+            for t in _pull_merged(img_groups):
                 img_writer.write(t)
             img_writer.close(IMAGE_SCHEMA)
             n_images = img_writer.n_rows
@@ -1267,13 +1223,13 @@ def run_crawl(
 
             # 4c. next-gen candidates: ALL retries (crawl order) then ALL
             # outlinks (crawl order) — identical sequence to the whole-wave
-            # construction; seq assigned with a running offset per block. The
+            # construction; seq assigned with a running offset per chunk. The
             # seq'd blocks are re-put as the next wave's input refs AND streamed
             # into the single-file checkpoint.
             cand_writer = RollingWriter(gen_dir, "next_candidates")
             next_cand_refs: list = []
             offset = 0
-            for t in _iter_windowed(retry_refs + outlink_refs):
+            for t in _pull_merged(retry_groups + outlink_groups):
                 if t.num_rows == 0:
                     continue
                 t = t.append_column(

@@ -99,7 +99,8 @@ def load_corpus_shard(
     (fetch_one follows exactly one hop, and the target row's
     outlinks/image_refs are consumed, so ghosts must be full rows);
     image payload rows whose (image_id hash64 mod ``num_owners``) ==
-    ``owner`` (process_refs_pos routes by the same key); and the slice's
+    ``owner`` (the crawl driver routes kept refs to ``process_refs_pos``
+    by the same key, ``crawl._by_owner``); and the slice's
     image-MEMBERSHIP set (ids referenced by slice pages that exist in the
     corpus images table) so fetch_one's emission check needs no payload.
 

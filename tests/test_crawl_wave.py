@@ -1,12 +1,17 @@
 """Shape of one crawl wave: normalize+route runs as plain Ray tasks (no
-Ray Data execution, so no schema reconciliation between bundles), and a
-shard that no block routes a row to still schedules its (empty) wave."""
+Ray Data execution, so no schema reconciliation between bundles), the
+fetch actors fetch and derive (no other task), and a shard that no block
+routes a row to still schedules its (empty) wave."""
 
 import logging
 import os
 import shutil
+import time
 
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import pytest
+import ray
 
 from spider_ray.pipelines.oracle import run_oracle
 from spider_ray.sources.webgen import generate
@@ -100,3 +105,83 @@ def test_more_shards_than_hosts(ray_session, tmp_path):
         if r["candidates"]
     }
     assert len(shards_with_rows) <= 3
+
+
+def _plain_task_names(t0: float, t1: float) -> set[str]:
+    """Names of the plain (non-actor) Ray tasks that started in [t0, t1].
+    Actor calls show as "Class.method"."""
+    return {
+        e["cat"][len("task::"):]
+        for e in ray.timeline()
+        if e.get("cat", "").startswith("task::")
+        and "." not in e["cat"]
+        and t0 * 1e6 <= e["ts"] <= t1 * 1e6
+    }
+
+
+def test_crawl_runs_no_task_but_normalize(corpus, ray_session):  # noqa: F811
+    """The fetch actors derive their own blocks and the driver routes
+    permits and image refs straight to them: the only Ray task a crawl
+    runs is ``_normalize_split``."""
+    from spider_ray.pipelines.crawl import run_crawl
+
+    shutil.rmtree(OUT_W, ignore_errors=True)
+    t0 = time.time()
+    run_crawl(corpus, OUT_W, num_shards=2, fetch_concurrency=2)
+    t1 = time.time()
+    shutil.rmtree(OUT_W, ignore_errors=True)
+    # workers report task events to the timeline about once a second
+    while True:
+        names = _plain_task_names(t0, t1)
+        if time.time() > t1 + 10 or (
+            "_normalize_split" in names and time.time() > t1 + 3
+        ):
+            break
+        time.sleep(0.5)
+    assert names == {"_normalize_split"}
+
+
+def _make_filter_handler(reverse: bool):
+    # a closure, so cloudpickle ships it by value to the fetch actors
+    def drop_rows(block):
+        keep = pc.and_(
+            pc.not_equal(block["status"], 404),
+            pc.not_equal(pc.bit_wise_and(block["seq"], 3), 1),
+        )
+        block = block.filter(keep)
+        if reverse:  # handlers may reorder rows; sinks stay in crawl order
+            block = block.take(list(range(block.num_rows - 1, -1, -1)))
+        return block
+
+    return drop_rows
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_filtering_handler_sinks_independent_of_pool(corpus, oracle_out,  # noqa: F811
+                                                     ray_session, tmp_path,
+                                                     reverse):
+    """A result handler that drops (and, reversed, reorders) rows runs on
+    each owner's part of a permit chunk; the driver's merge by position
+    must give the same sinks, in crawl order, whatever the fetch pool
+    size."""
+    from spider_ray.pipelines.crawl import run_crawl
+
+    assert any(r["status"] == 404 for r in oracle_out["crawl_order"])
+    sinks = []
+    for pool in (1, 3):
+        out = str(tmp_path / f"pool{pool}")
+        run_crawl(corpus, out, num_shards=2, fetch_concurrency=pool,
+                  result_handler=_make_filter_handler(reverse))
+        status = _engine_rows(out, "status.parquet")
+        assert status and all(r["status"] != 404 for r in status)
+        keys = [(r["gen"], r["fetch_ts"], r["priority"], r["seq"], r["host"])
+                for r in status]
+        assert keys == sorted(keys)
+        sinks.append((
+            status,
+            _engine_rows(out, "images.parquet"),
+            _engine_rows(out, "next_candidates.parquet"),
+            pq.read_table(os.path.join(out, "seen.parquet")).to_pylist(),
+        ))
+    assert sinks[0][1], "the filtered crawl should still keep images"
+    assert sinks[0] == sinks[1]

@@ -142,16 +142,16 @@ def test_idle_actor_killed_between_crawls_is_replaced(corpora, ray_session):
 def _kill_first_fetch_actor(monkeypatch, times: int) -> list:
     """Before each of the next ``times`` fetch submissions, kill the
     first fetch actor of the pool with a restart. Returns the kill log."""
-    submit = C._submit_windowed
+    dispatch = C._dispatch_fetch
     killed = []
 
-    def kill_then_submit(task, head_args, items):
-        if task is C._fetch_window_sharded and len(killed) < times:
-            killed.append(head_args[0][0])
-            ray.kill(head_args[0][0], no_restart=False)
-        return submit(task, head_args, items)
+    def kill_then_dispatch(pool, handler, blocks):
+        if len(killed) < times:
+            killed.append(pool[0])
+            ray.kill(pool[0], no_restart=False)
+        return dispatch(pool, handler, blocks)
 
-    monkeypatch.setattr(C, "_submit_windowed", kill_then_submit)
+    monkeypatch.setattr(C, "_dispatch_fetch", kill_then_dispatch)
     return killed
 
 

@@ -222,38 +222,66 @@ def test_sharded_webindex_slices_and_fetch_parity(ray_session):
         assert a.image_rows == b.image_rows
 
 
-def test_fetch_window_all_empty_blocks(ray_session):
-    """A dispatch window of all-empty permit blocks (range-partition
-    sorts emit them under key concentration) must return schema'd empty
-    fetch outputs, not crash in the reassembly concatenate."""
+def test_fetch_dispatch_empty_blocks(ray_session):
+    """A sorted permit stream with empty blocks in it (range-partition
+    sorts emit them under key concentration) routes to the owning fetch
+    actors and merges back into schema'd outputs in stream order: the same
+    rows a single full-index actor fetches from the non-empty rows."""
     import pyarrow as pa
 
     import spider_ray.pipelines.crawl as C
+    from spider_ray.kernels.hashing import hash64
+    from spider_ray.pipelines.oracle import load_corpus
+    from spider_ray.sources.webgen import generate
+    from spider_ray.stages.normalize import _route_hosts
 
     corpus = "/tmp/spider_ray_r4_legacy_corpus"
-    pool = [C.FetchActorCls.remote(corpus, i, 2) for i in range(2)]
-    empty = pa.table(
+    if not os.path.exists(os.path.join(corpus, "_DONE")):
+        generate(corpus, n_pages=120, n_hosts=6, seed=11)
+    urls = sorted(load_corpus(corpus)["pages"])[:60]
+    n = len(urls)
+    permits = pa.table(
         {
-            "fetch_ts": pa.array([], pa.int64()),
-            "url": pa.array([], pa.string()),
-            "url_hash": pa.array([], pa.uint64()),
-            "host": pa.array([], pa.string()),
-            "priority": pa.array([], pa.int16()),
-            "gen": pa.array([], pa.int32()),
-            "seq": pa.array([], pa.int64()),
-            "depth": pa.array([], pa.int16()),
-            "tried": pa.array([], pa.int16()),
-            "referer": pa.array([], pa.string()),
+            "fetch_ts": pa.array(range(n), pa.int64()),
+            "url": pa.array(urls, pa.string()),
+            "url_hash": pa.array(hash64(urls), pa.uint64()),
+            "host": pa.array(_route_hosts(urls), pa.string()),
+            "priority": pa.array([5] * n, pa.int16()),
+            "gen": pa.array([0] * n, pa.int32()),
+            "seq": pa.array(range(n), pa.int64()),
+            "depth": pa.array([0] * n, pa.int16()),
+            "tried": pa.array([0] * n, pa.int16()),
+            "referer": pa.array([""] * n, pa.string()),
         }
     )
-    refs = C._submit_windowed(
-        C._fetch_window_sharded, (pool,), [empty, empty, empty]
-    )
-    out = ray.get(refs)
-    assert [t.num_rows for t in out] == [0, 0, 0]
-    assert "status" in out[0].column_names
-    for a in pool:
-        ray.kill(a)
+    empty = permits.slice(0, 0)
+    pool = [C.FetchActorCls.remote(corpus, i, 2) for i in range(2)]
+    full = C.FetchActorCls.remote(corpus)
+    try:
+        assert C._dispatch_fetch(pool, None, [empty, empty]) == []
+        calls = C._dispatch_fetch(
+            pool, None,
+            [empty, permits.slice(0, 25), empty, empty, permits.slice(25)],
+        )
+        assert len(calls) == 2
+        status, imrefs, retries, outlinks = (
+            list(C._pull_merged([[c[k] for c in cs] for cs in calls]))
+            for k in range(4)
+        )
+        gold = ray.get(full.fetch_batch.remote(permits))
+    finally:
+        for a in pool + [full]:
+            ray.kill(a)
+    status = pa.concat_tables(status)
+    assert status.schema == C.STATUS_SCHEMA
+    assert status.equals(gold.drop_columns(["outlinks", "images"]))
+    want_refs = [r for imgs in gold["images"].to_pylist() for r in imgs]
+    assert [r for t in imrefs for r in t.to_pylist()] == want_refs
+    assert want_refs, "the permits should reference images"
+    for t in retries + outlinks:
+        assert t.schema == C.CANDIDATE_SCHEMA
+    want_links = [o["url"] for ls in gold["outlinks"].to_pylist() for o in ls]
+    assert [u for t in outlinks for u in t["url"].to_pylist()] == want_links
 
 
 def test_fetch_actor_restart_identical_results(ray_session):
