@@ -266,7 +266,7 @@ def q_bloom_anti_join(sf_dir: str) -> pa.Table:
             {"k": pa.array(np.unique(early_keys(batch)), pa.int64())}
         )
 
-    exact_seen = np.unique(
+    seen_keys = np.unique(
         pa.concat_tables(
             ray.get(
                 seen_ds.map_batches(
@@ -276,7 +276,7 @@ def q_bloom_anti_join(sf_dir: str) -> pa.Table:
             promote_options="default",
         )["k"].to_numpy(zero_copy_only=False)
     )
-    seen_ref = ray.put(exact_seen)
+    seen_ref = ray.put(seen_keys)
 
     cand = read_table(sf_dir, "part", columns=["p_partkey", "p_name"])
 

@@ -10,8 +10,9 @@ fetch → extract → frontier[g+1]):
 2. ``ShardActor.schedule_wave`` (raw actor: the one shared-mutable-state
    piece the Dataset API can't express) takes its part of every block as
    arguments, admits the rows in ``seq`` order against the shard's
-   seen-set and runs the politeness DES; it returns two refs — the shard's
-   stats and its timed fetch permits as one Arrow table;
+   cuckoo filter and runs the politeness DES; it returns three refs — the
+   shard's stats, its timed fetch permits and its new seen rows (Arrow
+   tables), and the driver writes the seen rows as the ``seen`` sink;
 3. permits → sort by the global crawl-order key → permit chunks; the driver
    splits each chunk by owner (``hash64(url) % pool``) and sends each
    ``FetchWorker`` that holds a warm WebIndex slice one ``fetch_derive``
@@ -24,15 +25,16 @@ fetch → extract → frontier[g+1]):
    them into per-gen parquet sinks, admits image refs first-wins on the
    shard actors and sends the kept ones to their owners'
    ``process_refs_pos`` (decode/recompress/phash), merged the same way;
-5. checkpoint per (gen, shard): scheduler state pickle + ``_DONE`` marker +
+5. checkpoint per (gen, shard): scheduler state pickle (fixed-size
+   filters and politeness state) + ``_DONE`` marker +
    metrics rows (counters, and the driver wall time of each step as the
    ``PHASE_COLUMNS``) → a killed run resumes at the last complete
    generation without re-fetching (fetch lookups are counted to prove it).
 
 Driver round trips per generation: one ``_normalize_split`` task per
 candidate block and one ``ray.wait`` over their parts (the generation's only
-Ray tasks), one ``schedule_wave`` per shard (a single ``ray.get`` over the
-stats refs), one small-wave permit ``ray.get``, then per permit chunk of
+Ray tasks), one ``schedule_wave`` per shard (one ``ray.get`` over the stats
+and seen refs), one small-wave permit ``ray.get``, then per permit chunk of
 ``PERMIT_CHUNK`` rows one ``fetch_derive`` call per owner, one
 ``admit_images`` call per shard, one ``process_refs_pos`` call per owner
 and one ``ray.get`` in each sink; last, one batched ``ray.get`` of the
@@ -68,6 +70,7 @@ idle actors do not outlive them.
 
 from __future__ import annotations
 
+import glob
 import os
 import pickle
 import shutil
@@ -136,7 +139,8 @@ def _preload_ray_data() -> None:
 
 @ray.remote
 class ShardActor:
-    """Owns one ShardScheduler — cuckoo seen-set, politeness state, clock.
+    """Owns one ShardScheduler — cuckoo filters, politeness state, clock.
+    Seen rows are not actor state: ``schedule_wave`` returns each wave's.
 
     One actor serves crawl after crawl of a Ray session: ``reset`` installs
     a crawl's shard state (any shard of any corpus — the actor has no
@@ -164,27 +168,27 @@ class ShardActor:
     def release(self) -> None:
         self.sched = self.meta = None
 
-    @ray.method(num_returns=2)
+    @ray.method(num_returns=3)
     def schedule_wave(
         self, wave_start: int, *tables: pa.Table
-    ) -> tuple[dict, pa.Table]:
+    ) -> tuple[dict, pa.Table, pa.Table]:
         """Admit this shard's part of every candidate block (one table per
         ``_normalize_split`` task) and run the politeness DES. Returns
-        (stats, this shard's permits as one Arrow table): the driver
-        ``ray.get``s only the stats ref and hands the permit ref straight
-        to the permit sort / fetch stage."""
+        (stats, this shard's permits as one Arrow table, the wave's new
+        seen rows as a ``SEEN_SCHEMA`` table): the driver ``ray.get``s the
+        stats and seen refs and hands the permit ref straight to the
+        permit sort / fetch stage."""
         # arrow-kernel sort by seq BEFORE the one unavoidable to_pylist
         # (the DES consumes per-row dicts)
         rows = pa.concat_tables(tables).sort_by("seq").to_pylist()
-        accepted, hits = self.sched.admit(rows)
+        accepted, hits, seen_rows = self.sched.admit(rows)
         permits = self.sched.run_wave(accepted, wave_start, self.meta)
         stats = {
             "dedup_hits": hits,
             "candidates": len(rows),
             "scheduled": len(permits),
-            "top_host": getattr(self.sched, "last_top_host", ""),
-            "top_host_n": getattr(self.sched, "last_top_host_n", 0),
-            "fp_audit": self.sched.fp_audit,
+            "top_host": self.sched.last_top_host,
+            "top_host_n": self.sched.last_top_host_n,
             "seen_size": self.sched.seen.size,
             # the next wave starts at the max of these: nothing between
             # schedule_wave and the checkpoint moves a shard's clock
@@ -196,39 +200,19 @@ class ShardActor:
                 self.sched.seen_add_failures + self.sched.image_add_failures
             ),
         }
+        seen_t = pa.table(list(zip(*seen_rows)) or [[]] * 3, schema=SEEN_SCHEMA)
         return stats, pa.Table.from_pylist(
             [p.__dict__ for p in permits], schema=PERMIT_SCHEMA
-        )
+        ), seen_t
 
-    def admit_images(self, hashes: list[int]) -> list[bool]:
-        return self.sched.admit_images(np.array(hashes, dtype=np.uint64)).tolist()
+    def admit_images(self, hashes: np.ndarray) -> np.ndarray:
+        return self.sched.admit_images(hashes)
 
     def state_dict(self) -> bytes:
         return pickle.dumps(self.sched.state_dict())
 
     def load_state(self, blob: bytes) -> None:
         self.sched = ShardScheduler.from_state_dict(pickle.loads(blob))
-
-    def seen_count(self) -> int:
-        return len(self.sched.seen_urls)
-
-    def seen_table(self) -> pa.Table:
-        """This shard's seen set as one Arrow table (with the
-        order-preserving int64 ``sort_key`` for the distributed sort)."""
-        rows = self.sched.seen_urls
-        uh = np.array([r[0] for r in rows], dtype=np.uint64)
-        return pa.table(
-            {
-                "url_hash": pa.array(uh, pa.uint64()),
-                "url": pa.array([r[1] for r in rows], pa.string()),
-                "first_gen": pa.array(
-                    [r[2] for r in rows], pa.int32()
-                ),
-                "sort_key": pa.array(
-                    (uh ^ np.uint64(1 << 63)).view(np.int64), pa.int64()
-                ),
-            }
-        )
 
 
 class FetchWorker:
@@ -685,7 +669,6 @@ def read_sink(dir_: str, base: str) -> pa.Table:
     """Read one logical sink stream back (base file + rolled parts, in
     STREAM order — parts sort numerically by parsed index, so the order
     holds no matter how many digits a part number grows to)."""
-    import glob as _glob
     import re as _re
 
     name = base[: -len(".parquet")] if base.endswith(".parquet") else base
@@ -698,10 +681,28 @@ def read_sink(dir_: str, base: str) -> pa.Table:
         return int(m.group(1)) if m else 0  # base file = part 0
 
     paths = sorted(
-        _glob.glob(os.path.join(dir_, f"{name}*.parquet")), key=_order
+        glob.glob(os.path.join(dir_, f"{name}*.parquet")), key=_order
     )
     return pa.concat_tables(
         [pq.read_table(p) for p in paths], promote_options="default"
+    )
+
+
+def _done_gens(out_dir: str) -> list[int]:
+    """The generations with a ``_DONE`` marker, ascending."""
+    return sorted(
+        int(d.split("=")[1])
+        for d in os.listdir(out_dir)
+        if d.startswith("gen=")
+        and os.path.exists(os.path.join(out_dir, d, "_DONE"))
+    )
+
+
+def _with_sort_key(t: pa.Table) -> pa.Table:
+    """Seen rows plus the order-preserving int64 image of ``url_hash``."""
+    uh = t["url_hash"].to_numpy()
+    return t.append_column(
+        "sort_key", pa.array((uh ^ np.uint64(1 << 63)).view(np.int64))
     )
 
 
@@ -915,8 +916,8 @@ def run_crawl(
     # a resume under a DIFFERENT topology would silently re-route hosts
     # away from the actors holding their politeness/seen state
     cfg_path = os.path.join(out_dir, "run_config.json")
-    # hash-provider canary: checkpoints persist hash64 outputs (cuckoo
-    # fingerprints, exact_seen keys, url_hash), but the polars xxhash
+    # hash-provider canary: checkpoints and sinks persist hash64 outputs
+    # (cuckoo fingerprints, the seen sinks' url_hash), but the polars xxhash
     # kernel only guarantees determinism within one environment. A resume
     # under a polars build that hashes differently would silently miss
     # every restored seen key and re-fetch the whole history — reject it
@@ -1018,12 +1019,7 @@ def run_crawl(
         cand_blocks, cand_count = _as_blocks(_with_seq(_seeds_candidates(c["seeds"])))
         wave_start = 0
         if resume:
-            done_gens = sorted(
-                int(d.split("=")[1])
-                for d in os.listdir(out_dir)
-                if d.startswith("gen=")
-                and os.path.exists(os.path.join(out_dir, d, "_DONE"))
-            )
+            done_gens = _done_gens(out_dir)
             if done_gens:
                 g = done_gens[-1]
                 ck = os.path.join(out_dir, f"gen={g}", "ckpt")
@@ -1112,16 +1108,22 @@ def run_crawl(
 
             # 2. schedule each shard's wave (politeness DES in the actors):
             # shard s gets part s of every block as call arguments. One call
-            # per shard returns two refs: the stats the driver reads, and the
-            # permits as an Arrow TABLE REF the driver only passes on.
+            # per shard returns three refs: the stats the driver reads, the
+            # permits as an Arrow TABLE REF the driver only passes on, and
+            # the wave's new seen rows, written once as this gen's sink.
             sched_refs = [
                 a.schedule_wave.remote(wave_start, *(p[s] for p in parts))
                 for s, a in enumerate(actors)
             ]
-            wave_res = ray.get([st for st, _ in sched_refs])
+            got = ray.get([r[0] for r in sched_refs] + [r[2] for r in sched_refs])
+            wave_res, seen_parts = got[:num_shards], got[num_shards:]
             # the calls are done: let the object store free the routed rows
             del parts, part_refs
-            permit_refs = [pt for _, pt in sched_refs]
+            permit_refs = [pt for _, pt, _ in sched_refs]
+            seen_writer = RollingWriter(gen_dir, "seen")
+            for t in seen_parts:
+                seen_writer.write(t)
+            seen_writer.close(SEEN_SCHEMA)
             marks.append(time.perf_counter())
             n_permits = sum(r["scheduled"] for r in wave_res)
 
@@ -1210,7 +1212,7 @@ def run_crawl(
                 idxs, futs = [], []
                 for s, ix in _by_owner(ih, num_shards):
                     idxs.append(ix)
-                    futs.append(actors[s].admit_images.remote(ih[ix].tolist()))
+                    futs.append(actors[s].admit_images.remote(ih[ix]))
                 _drain(pending)
                 pending = (refs_t, idxs, futs)
             _drain(pending)
@@ -1271,12 +1273,11 @@ def run_crawl(
                     "candidates": res["candidates"],
                     "dedup_hits": res["dedup_hits"],
                     "scheduled": res["scheduled"],
-                    "top_host": res.get("top_host", ""),
-                    "top_host_n": res.get("top_host_n", 0),
-                    "cuckoo_fp_audit": res.get("fp_audit", 0),
-                    "cuckoo_add_failures": res.get("cuckoo_add_failures", 0),
-                    "seen_size": res.get("seen_size", 0),
-                    "shard_clock_us": res.get("clock", 0),
+                    "top_host": res["top_host"],
+                    "top_host_n": res["top_host_n"],
+                    "cuckoo_add_failures": res["cuckoo_add_failures"],
+                    "seen_size": res["seen_size"],
+                    "shard_clock_us": res["clock"],
                     "fetched_total": n_fetched,
                     "http_2xx": n2,
                     "http_4xx": n4,
@@ -1297,21 +1298,30 @@ def run_crawl(
             with open(os.path.join(gen_dir, "_DONE"), "w") as f:
                 f.write("ok")
 
-        # final: merged seen table, globally sorted by (url_hash, url). Small
-        # sets concat+sort driver-side (bounded); big sets sort distributed
-        # over the per-shard table refs using the order-preserving int64
-        # bit-flip key (ray's sort doesn't take uint64) and stream-write.
-        seen_refs = [a.seen_table.remote() for a in actors]
+        # final: every DONE generation's seen sink, globally sorted by
+        # (url_hash, url). Small sets concat+sort driver-side (bounded); big
+        # sets sort distributed on the order-preserving int64 bit-flip key
+        # (ray's sort doesn't take uint64) and stream-write.
+        seen_files = {  # path -> rows; their order does not matter
+            p: pq.ParquetFile(p).metadata.num_rows
+            for g in _done_gens(out_dir)
+            for p in glob.glob(os.path.join(out_dir, f"gen={g}", "seen*.parquet"))
+        }
         seen_path = os.path.join(out_dir, "seen.parquet")
-        n_seen = sum(ray.get([a.seen_count.remote() for a in actors]))
-        if n_seen <= DS_SORT_THRESHOLD:
+        if sum(seen_files.values()) <= DS_SORT_THRESHOLD:
             seen_t = pa.concat_tables(
-                ray.get(seen_refs), promote_options="default"
+                [pq.read_table(p) for p in seen_files]
+                or [SEEN_SCHEMA.empty_table()]
             ).sort_by([("url_hash", "ascending"), ("url", "ascending")])
-            pq.write_table(seen_t.drop_columns(["sort_key"]), seen_path)
+            pq.write_table(seen_t, seen_path)
         else:
-            sorted_ds = ray.data.from_arrow_refs(seen_refs).sort(
-                ["sort_key", "url"]
+            sorted_ds = (
+                # partitioning=None: the gen=<g> directories are no column
+                ray.data.read_parquet(
+                    [p for p, n in seen_files.items() if n], partitioning=None
+                )
+                .map_batches(_with_sort_key, batch_format="pyarrow")
+                .sort(["sort_key", "url"])
             )
             writer = RollingWriter(out_dir, "seen")
             for bref in sorted_ds.materialize().to_arrow_refs():
@@ -1346,23 +1356,17 @@ def gc_checkpoints(out_dir: str, keep: int = 2) -> dict:
     state: the latest ``_DONE`` gen's ``ckpt/`` (pickled shard
     schedulers + ``wave_start.txt``) and its ``next_candidates`` sink.
     Every EARLIER gen's ckpt + next_candidates is dead weight that
-    accumulates forever on a 10^10-URL crawl (each ckpt is O(seen/shard)
-    — the dominant state). This removes them for all but the newest
-    ``keep`` DONE generations, NEVER touching data sinks (status /
-    images / metrics) or any gen without a ``_DONE`` marker (an
+    accumulates forever on a long crawl (each ckpt is the shards'
+    fixed-size filters and politeness state; next_candidates is
+    O(frontier)). This removes them for all but the newest ``keep`` DONE
+    generations, NEVER touching data sinks (status / images / seen /
+    metrics) or any gen without a ``_DONE`` marker (an
     in-flight or killed attempt still needed for wipe-and-retry).
 
     Returns ``{"removed_gens": [...], "bytes_freed": int}``. Safe to run
     while the crawl is stopped (the intended window: between a graceful
     stop and its resume) and idempotent."""
-    import shutil as _shutil
-
-    done_gens = sorted(
-        int(d.split("=")[1])
-        for d in os.listdir(out_dir)
-        if d.startswith("gen=")
-        and os.path.exists(os.path.join(out_dir, d, "_DONE"))
-    )
+    done_gens = _done_gens(out_dir)
     removed, freed = [], 0
     for g in done_gens[:-keep] if keep > 0 else done_gens[:-1]:
         gen_dir = os.path.join(out_dir, f"gen={g}")
@@ -1383,7 +1387,7 @@ def gc_checkpoints(out_dir: str, keep: int = 2) -> dict:
                     for r, _, fs in os.walk(t)
                     for f in fs
                 )
-                _shutil.rmtree(t)
+                shutil.rmtree(t)
                 got_one = True
             elif os.path.isfile(t):
                 freed += os.path.getsize(t)

@@ -305,6 +305,7 @@ def run_oracle(
     image_rows: list[dict] = []
     status_rows: list[dict] = []
     metrics_rows: list[dict] = []
+    seen_rows: list[dict] = []
     wave_start = 0
 
     for gen in range(max_gens):
@@ -321,7 +322,11 @@ def run_oracle(
         permits = []
         for s, sched in enumerate(shards):
             srows = sorted(by_shard.get(s, []), key=lambda r: r["seq"])
-            accepted, hits = sched.admit(srows)
+            accepted, hits, new_seen = sched.admit(srows)
+            seen_rows.extend(
+                {"url_hash": uh, "url": u, "first_gen": g}
+                for uh, u, g in new_seen
+            )
             sp = sched.run_wave(accepted, wave_start, meta)
             permits.extend(sp)
             mrow = {
@@ -330,8 +335,8 @@ def run_oracle(
                 "candidates": len(srows),
                 "dedup_hits": hits,
                 "scheduled": len(sp),
-                "top_host": getattr(sched, "last_top_host", ""),
-                "top_host_n": getattr(sched, "last_top_host_n", 0),
+                "top_host": sched.last_top_host,
+                "top_host_n": sched.last_top_host_n,
             }
             if s == 0:
                 mrow.update({f"norm_{k}": v for k, v in m.items()})
@@ -341,7 +346,6 @@ def run_oracle(
         next_retries: list[dict] = []
         next_links: list[dict] = []
         img_candidates: list[dict] = []
-        counts = {"2xx": 0, "3xx": 0, "4xx": 0, "5xx": 0}
         for p in permits:
             res = fetch_one(p, index)
             crawl_order.append(
@@ -358,10 +362,6 @@ def run_oracle(
                 }
             )
             status_rows.append(result_to_rows(res))
-            b = res.status // 100
-            counts["2xx" if b == 2 else "3xx" if b == 3 else "4xx" if b == 4 else "5xx"] = (
-                counts.get("2xx" if b == 2 else "3xx" if b == 3 else "4xx" if b == 4 else "5xx", 0) + 1
-            )
             if res.retry:
                 next_retries.append(
                     {
@@ -410,11 +410,6 @@ def run_oracle(
             candidates = pa.table({"url": pa.array([], pa.string())})
         wave_start = max(s.clock for s in shards)
 
-    seen_rows = []
-    for s in shards:
-        seen_rows.extend(
-            {"url_hash": uh, "url": u, "first_gen": g} for uh, u, g in s.seen_urls
-        )
     seen_rows.sort(key=lambda r: (r["url_hash"], r["url"]))
 
     return {

@@ -9,10 +9,11 @@ public paper): bucket2 = bucket1 XOR hash(fingerprint). ~2.1 B/key at 95%
 load; 10^10 keys ≈ 21 GB aggregate → sharded by url_hash range across
 frontier-shard actors, each shard serializable for checkpoints.
 
-Deletions are supported (needed for revisit-interval expiry). False-positive
-rate ≈ 2·buckets_per_item/2^16 ≈ 1.2e-4 at 4-way; the engine keeps an exact
-per-shard seen dict alongside at test scale to audit FP behavior
-(SURVEY §7.4.3).
+Deletions are supported (needed for revisit-interval expiry). The filter
+alone decides URL admission, so a false positive leaves a URL unfetched:
+≈ 2·4/2^16 ≈ 1.2e-4 per lookup at 95 % load, and none in 20 benchmark-shaped
+crawls (10,072 keys). The crawl's exact ``seen`` table is the audit
+(SURVEY §7.4.3, ``tests/test_crawl_parity.py``).
 """
 
 from __future__ import annotations

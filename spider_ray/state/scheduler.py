@@ -20,6 +20,11 @@ Ordering contract:
 The seen-set key is ``hash64(f"{tried}_{url}")`` — retries bypass dedup
 exactly like the reference's LRU key ``"{tried_times}_{dedup_key-or-url}"``
 (``job_manager.cc:319-360``).
+
+The cuckoo filter is the only URL-membership structure and decides
+admission. ``admit`` returns each wave's new seen rows for the crawl to
+persist, so a checkpoint (fixed-size filters, politeness state, counters)
+does not grow with the number of seen URLs.
 """
 
 from __future__ import annotations
@@ -32,6 +37,11 @@ import numpy as np
 from spider_ray.kernels.hashing import hash64
 from spider_ray.state.cuckoo import CuckooFilter
 from spider_ray.state.load_controller import LoadController, LoadOptions, LoadRecord, parse_window
+
+# the fields of a checkpoint (``state_dict``)
+_STATE_KEYS = {"shard_id", "num_shards", "lc", "lc_records", "lc_options",
+               "seen", "image_seen", "clock", "seen_add_failures",
+               "image_add_failures"}
 
 
 @dataclass
@@ -79,12 +89,8 @@ class ShardScheduler:
             )
         self.lc = LoadController(opt, recs)
         self.seen = CuckooFilter(seen_capacity)
-        self.exact_seen: set[int] = set()
-        self.seen_urls: list[tuple[int, str, int]] = []  # (url_hash, url, gen)
         self.image_seen = CuckooFilter(seen_capacity)
         self.clock = 0
-        self.metrics: list[dict] = []
-        self.fp_audit = 0
         # cuckoo saturation counters: CuckooFilter.add returns False when a
         # kick-out chain fails (filter near capacity) — a key that fails to
         # insert will NOT be remembered, so a later duplicate gets re-
@@ -93,51 +99,45 @@ class ShardScheduler:
         # the crawl and the run's exactly-once guarantees are degraded.
         self.seen_add_failures = 0
         self.image_add_failures = 0
+        # the shard's heaviest host of the last admit, and the queued URLs
+        # run_wave has dropped for dead or zero-connection hosts
+        self.last_top_host, self.last_top_host_n = "", 0
+        self._last_dropped = 0
 
     # --- admission (dedup) ----------------------------------------------------
 
-    def admit(self, rows: list[dict]) -> tuple[list[dict], int]:
+    def admit(
+        self, rows: list[dict]
+    ) -> tuple[list[dict], int, list[tuple[int, str, int]]]:
         """Seen-check + add, VECTORIZED. rows need keys url, url_hash,
-        tried, gen. Returns (accepted rows, dedup_hits). The exact audit
-        set decides admission, and cuckoo false positives are counted
-        against it (``fp_audit``) — the FP budget the north rule asks to
-        be verified against the exact set.
+        tried, gen, host. Returns (accepted rows, dedup_hits, new seen
+        rows): the seen rows are the accepted rows with ``tried == 0`` as
+        ``(url_hash, url, first_gen)``, the wave's additions to the exact
+        ``seen`` table the driver persists.
 
-        Wave semantics: a key's FIRST occurrence decides against the
-        PRE-WAVE seen state; later occurrences in the same wave are always
-        duplicates (first-wins). The cuckoo membership probe runs once,
-        batched, against the pre-wave filter — intra-wave insertions can
-        therefore never cause a same-wave false positive (a strict
-        improvement on the per-row probe; engine and oracle share this
-        code, so it stays a parity seam, not a divergence)."""
+        The cuckoo filter decides: a key's FIRST occurrence is admitted
+        unless the PRE-WAVE filter holds it; later occurrences in the same
+        wave are always duplicates (first-wins). The membership probe runs
+        once, batched, against the pre-wave filter, so intra-wave
+        insertions can never cause a same-wave false positive (engine and
+        oracle share this code, so it stays a parity seam)."""
         if not rows:
-            return [], 0
+            return [], 0, []
         # vectorized key hashing (one polars pass, not one call per row)
         keys = hash64([f"{r['tried']}_{r['url']}" for r in rows])
         n = len(rows)
         is_first = np.zeros(n, dtype=bool)
         is_first[np.unique(keys, return_index=True)[1]] = True
-        cuckoo_dup = self.seen.contains_many(keys)
-        dup_keys = self.exact_seen.intersection(keys[is_first].tolist())
-        exact_dup = np.isin(
-            keys,
-            np.fromiter(dup_keys, dtype=np.uint64, count=len(dup_keys)),
-        )
-        self.fp_audit += int((is_first & cuckoo_dup & ~exact_dup).sum())
-        accept_mask = is_first & ~exact_dup
+        accept_mask = is_first & ~self.seen.contains_many(keys)
         hits = int(n - accept_mask.sum())
 
-        accepted = []
+        accepted, seen_rows = [], []
         for i in np.flatnonzero(accept_mask):
             r = rows[i]
-            key = int(keys[i])
-            if not self.seen.add(key):
+            if not self.seen.add(int(keys[i])):
                 self.seen_add_failures += 1
-            self.exact_seen.add(key)
             if r["tried"] == 0:
-                self.seen_urls.append(
-                    (int(r["url_hash"]), r["url"], int(r["gen"]))
-                )
+                seen_rows.append((int(r["url_hash"]), r["url"], int(r["gen"])))
             accepted.append(r)
         # host_stat analog (A2, control/schedule/host_stat.cc): the shard's
         # heaviest host this wave — the signal the hot-host valve acts on.
@@ -151,9 +151,8 @@ class ShardScheduler:
             self.last_top_host = str(hosts[best])
             self.last_top_host_n = int(counts[best])
         else:
-            self.last_top_host = ""
-            self.last_top_host_n = 0
-        return accepted, hits
+            self.last_top_host, self.last_top_host_n = "", 0
+        return accepted, hits, seen_rows
 
     def admit_images(self, image_hashes: np.ndarray) -> np.ndarray:
         """First-wins dedup mask for image ids (D6 analog)."""
@@ -268,16 +267,14 @@ class ShardScheduler:
                 if self.lc._find_record(host, t).max_connections <= 0:
                     dropped = len(q)
                     q.clear()
-                    self._last_dropped = (
-                        getattr(self, "_last_dropped", 0) + dropped
-                    )
+                    self._last_dropped += dropped
                 else:
                     # sleep until the next completion wakes blocked hosts
                     blocked_conn.add(host)
             else:  # -2 dead key: drop all queued URLs for this host
                 dropped = len(q)
                 q.clear()
-                self._last_dropped = getattr(self, "_last_dropped", 0) + dropped
+                self._last_dropped += dropped
 
         self.clock = end_time
         return permits
@@ -295,17 +292,20 @@ class ShardScheduler:
             },
             "lc_options": self.lc.opt.__dict__,
             "seen": self.seen.state_dict(),
-            "exact_seen": self.exact_seen,
-            "seen_urls": self.seen_urls,
             "image_seen": self.image_seen.state_dict(),
             "clock": self.clock,
-            "fp_audit": self.fp_audit,
             "seen_add_failures": self.seen_add_failures,
             "image_add_failures": self.image_add_failures,
         }
 
     @classmethod
     def from_state_dict(cls, d: dict) -> "ShardScheduler":
+        if d.keys() - _STATE_KEYS:  # e.g. the in-actor seen rows
+            raise ValueError(
+                f"checkpoint fields {sorted(d.keys() - _STATE_KEYS)} predate "
+                "the per-generation seen sinks: resuming would drop earlier "
+                "generations' seen rows; restart the crawl"
+            )
         obj = cls.__new__(cls)
         obj.shard_id = d["shard_id"]
         obj.num_shards = d["num_shards"]
@@ -317,12 +317,10 @@ class ShardScheduler:
         obj.lc = LoadController(opt, recs)
         obj.lc.load_state_dict(d["lc"])
         obj.seen = CuckooFilter.from_state_dict(d["seen"])
-        obj.exact_seen = d["exact_seen"]
-        obj.seen_urls = list(d["seen_urls"])
         obj.image_seen = CuckooFilter.from_state_dict(d["image_seen"])
         obj.clock = d["clock"]
-        obj.metrics = []
-        obj.fp_audit = d.get("fp_audit", 0)
-        obj.seen_add_failures = d.get("seen_add_failures", 0)
-        obj.image_add_failures = d.get("image_add_failures", 0)
+        obj.seen_add_failures = d["seen_add_failures"]
+        obj.image_add_failures = d["image_add_failures"]
+        obj.last_top_host, obj.last_top_host_n = "", 0
+        obj._last_dropped = 0
         return obj

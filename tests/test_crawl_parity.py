@@ -67,6 +67,41 @@ def test_seen_set_parity(engine_out, oracle_out):
     assert eng == oracle_out["seen"]
 
 
+def test_seen_set_exact_audit(engine_out, corpus):
+    """The exact audit of cuckoo admission (SURVEY §7.4.3), sharing no code
+    with the scheduler: re-derive the seen set from the engine's own
+    candidate stream — the seeds for generation 0, generation g-1's
+    next_candidates sink for generation g — through ``normalize_batch``,
+    keeping each ``tried == 0`` URL's first generation in a Python set. A
+    cuckoo false positive would drop a URL the audit keeps."""
+    from spider_ray.pipelines.crawl import read_sink
+    from spider_ray.pipelines.oracle import load_corpus_control
+    from spider_ray.stages.normalize import normalize_batch
+
+    c = load_corpus_control(corpus)
+    gens = sorted(
+        int(d.split("=")[1]) for d in os.listdir(OUT) if d.startswith("gen=")
+    )
+    assert gens == list(range(len(gens))) and len(gens) >= 2
+    first_seen: set[str] = set()
+    audit = []
+    for g in gens:
+        cand = c["seeds"] if g == 0 else read_sink(
+            os.path.join(OUT, f"gen={g - 1}"), "next_candidates"
+        )
+        norm, _ = normalize_batch(cand, c["robots"], 2, g)
+        for r in norm.to_pylist():
+            if r["tried"] == 0 and r["url"] not in first_seen:
+                first_seen.add(r["url"])
+                audit.append(
+                    {"url_hash": r["url_hash"], "url": r["url"],
+                     "first_gen": g}
+                )
+    audit.sort(key=lambda r: (r["url_hash"], r["url"]))
+    eng = pq.read_table(os.path.join(OUT, "seen.parquet")).to_pylist()
+    assert eng == audit
+
+
 def test_images_parity_and_psnr(engine_out, oracle_out, corpus):
     eng = _engine_rows(OUT, "images.parquet")
     gold = {r["image_id"]: r for r in oracle_out["images"]}
@@ -100,7 +135,6 @@ def test_metrics_written(engine_out):
     per_gen = {}
     for r in rows:
         per_gen[r["gen"]] = r["fetched_total"]
-        assert r["cuckoo_fp_audit"] == 0  # exact audit found no FPs here
         assert {"shard", "candidates", "dedup_hits", "scheduled",
                 "seen_size", "http_2xx"} <= set(r)
         # this call's fleet cost: 2 shard + 2 fetch actors at most
@@ -275,10 +309,11 @@ def test_resume_topology_mismatch_rejected(corpus, ray_session):
 
 
 def test_resume_hash_provider_mismatch_rejected(corpus, ray_session):
-    """Checkpoints persist hash64 outputs (cuckoo fingerprints, exact_seen
-    keys, url_hash); a resume in an environment whose hash kernel disagrees
-    (different polars build) must be rejected loudly — every restored seen
-    key would silently miss and the crawl would re-fetch its history."""
+    """Checkpoints and sinks persist hash64 outputs (cuckoo fingerprints,
+    the seen sinks' url_hash); a resume in an environment whose hash kernel
+    disagrees (different polars build) must be rejected loudly — every
+    restored seen key would silently miss and the crawl would re-fetch its
+    history."""
     import json
 
     from spider_ray.pipelines.crawl import run_crawl
@@ -506,6 +541,30 @@ def test_hard_kill_partial_gen_resume(corpus, oracle_out, ray_session):
         assert (e["url"], e["fetch_ts"], e["status"]) == (
             g["url"], g["fetch_ts"], g["status"]
         )
+
+
+def test_resume_rejects_checkpoint_with_seen_rows(corpus, ray_session):
+    """A checkpoint that still carries the in-actor seen rows (``seen_urls``,
+    the format before per-generation seen sinks) must not resume: the
+    earlier generations have no seen sink, so their seen rows would be
+    dropped from seen.parquet without a word."""
+    import pickle
+
+    from spider_ray.pipelines.crawl import run_crawl
+
+    out = "/tmp/spider_ray_test_old_ckpt"
+    shutil.rmtree(out, ignore_errors=True)
+    run_crawl(corpus, out, num_shards=2, fetch_concurrency=2, max_gens=1)
+    for s in range(2):
+        path = os.path.join(out, "gen=0", "ckpt", f"shard_{s}.pkl")
+        with open(path, "rb") as f:
+            d = pickle.load(f)
+        d["exact_seen"], d["seen_urls"], d["fp_audit"] = set(), [], 0
+        with open(path, "wb") as f:
+            pickle.dump(d, f)
+    with pytest.raises(ValueError, match="restart the crawl"):
+        run_crawl(corpus, out, num_shards=2, fetch_concurrency=2,
+                  resume=True)
 
 
 def test_fresh_run_refuses_dirty_out_dir(corpus, ray_session):

@@ -186,6 +186,29 @@ def test_cuckoo_saturation_counted_not_silent():
     assert back.image_add_failures == sched.image_add_failures
 
 
+def test_checkpoint_size_independent_of_seen_count():
+    """The checkpoint holds the fixed-size filters, not the seen URLs: its
+    pickled size after admitting 10,000 distinct URLs is that of an empty
+    scheduler, give or take the counters' encodings."""
+    import pickle
+
+    from spider_ray.state.scheduler import ShardScheduler
+
+    def ckpt_bytes(n: int) -> int:
+        sched = ShardScheduler(0, 1)
+        urls = [f"http://h{i % 50}.com/p{i}" for i in range(n)]
+        hashes = hash64(urls)
+        sched.admit([
+            {"url": u, "url_hash": int(h), "host": u.split("/")[2],
+             "tried": 0, "gen": 0}
+            for u, h in zip(urls, hashes)
+        ])
+        assert sched.seen.size == n
+        return len(pickle.dumps(sched.state_dict()))
+
+    assert abs(ckpt_bytes(10_000) - ckpt_bytes(0)) <= 32
+
+
 # --- CuckooFilter ---------------------------------------------------------------
 
 
