@@ -30,20 +30,12 @@ from spider_ray.functions import similarity as S  # noqa: E402
 from spider_ray.functions import text as T  # noqa: E402
 from spider_ray.pipelines import relational as R  # noqa: E402
 
+from spider_ray._serial import register_all  # noqa: E402
+
 # Ray workers may not have this repo on sys.path (the driver controls
 # ray.init). Register every spider_ray module for pickle-by-value so
 # map_batches closures are fully self-contained.
-try:  # pragma: no cover - depends on driver environment
-    from ray import cloudpickle as _cp
-
-    for _name, _mod in list(sys.modules.items()):
-        if _name == "spider_ray" or _name.startswith("spider_ray."):
-            try:
-                _cp.register_pickle_by_value(_mod)
-            except Exception:
-                pass
-except Exception:
-    pass
+register_all()
 
 
 _CRAWL_CACHE: dict[str, dict] = {}

@@ -8,7 +8,7 @@ fetch/decode), and ``groupby``/``sort``/``repartition`` shuffles keyed on
 64-bit host/url hashes.
 
 Nothing in this package calls ``ray.init()`` — sessions are owned by the
-caller (driver, ``bench.py``, or the pytest fixture).
+caller (driver, CLI, ``perfbench/run.py``, or the pytest fixture).
 """
 
 __version__ = "0.1.0"

@@ -13,8 +13,9 @@ Usage (inside a job or standalone):
     python -m spider_ray.cli shard-verify --out /tmp/shards  # exit 1 on
                                    # any manifest divergence
 
-Owns its Ray session (guarded init) — the only module besides bench.py and
-the test fixture allowed to."""
+Owns its Ray session (guarded init) — the only package module allowed to;
+outside the package only the test fixture, ``perfbench/run.py`` and the
+``tools/`` scripts start one."""
 
 from __future__ import annotations
 

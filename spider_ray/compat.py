@@ -19,10 +19,10 @@ completions at the tighter cadence, spending a little more driver CPU;
 correctness is pinned by the frontier distributed-vs-single-process parity
 test running under the shim.
 
-Applied explicitly by driver-side entry points (bench.py, run_frontier_bench,
-tools/) — never by workers (the executor only runs on the driver, so the
-shim is a no-op there anyway). Idempotent; returns False (and changes
-nothing) if the pinned internals ever move.
+Applied explicitly by driver-side entry points (``perfbench/run.py``,
+run_frontier_bench, tools/query_stats.py) — never by workers (the executor
+only runs on the driver, so the shim is a no-op there anyway). Idempotent;
+returns False (and changes nothing) if the pinned internals ever move.
 """
 
 from __future__ import annotations

@@ -62,10 +62,10 @@ what it is still short of (``_Fleet``); a fetch actor that Ray has
 restarted before is replaced, so every crawl gets the full restart budget.
 On success the actors drop their per-crawl state and go back to idle; on any
 exception they are killed. Only a caller that crawls more than once per
-session gains (the test suite, ``perfbench``'s closed loop, ``bench.py``'s
-repeats). A one-shot crawl still pays one fleet start, and a caller that
-goes on with other work after its crawls calls ``shutdown_fleet()`` so the
-idle actors do not outlive them.
+session gains (the test suite and ``perfbench``'s closed loop). A one-shot
+crawl still pays one fleet start, and a caller that goes on with other work
+after its crawls calls ``shutdown_fleet()`` so the idle actors do not outlive
+them.
 """
 
 from __future__ import annotations
@@ -189,6 +189,9 @@ class ShardActor:
             "scheduled": len(permits),
             "top_host": self.sched.last_top_host,
             "top_host_n": self.sched.last_top_host_n,
+            # queued URLs this wave dropped for dead-key or
+            # zero-connection hosts
+            "dropped": self.sched.last_dropped,
             "seen_size": self.sched.seen.size,
             # the next wave starts at the max of these: nothing between
             # schedule_wave and the checkpoint moves a shard's clock
@@ -1275,6 +1278,7 @@ def run_crawl(
                     "scheduled": res["scheduled"],
                     "top_host": res["top_host"],
                     "top_host_n": res["top_host_n"],
+                    "dropped": res["dropped"],
                     "cuckoo_add_failures": res["cuckoo_add_failures"],
                     "seen_size": res["seen_size"],
                     "shard_clock_us": res["clock"],

@@ -9,24 +9,23 @@ hashes, per-block partial dedup, per-shard counting — the same shape as one
 schedule wave's pre-actor work.
 
 Everything in the per-batch UDF is polars/numpy vectorized (no Python loop
-over rows except the canonicalizer's slow-path fallback), so throughput
-scales with cores instead of saturating the allocator.
+over rows except the canonicalizer's slow-path fallback), so it is CPU-bound
+rather than allocator-bound.
 
-Metric: frontier URLs processed / second. This path is CPU-bound and scales
-with cores (the reference's insight in SURVEY §6: fetch is politeness-bound,
-frontier processing is what scales).
+Metric: frontier URLs processed / second (the reference's insight in SURVEY
+§6: fetch is politeness-bound, frontier processing is what scales).
+``perfbench``'s ``frontier_canon`` workload times it.
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
 import polars as pl
 import pyarrow as pa
 import ray
 
-from spider_ray.kernels.hashing import SEED, hash64_expr
+from spider_ray.kernels.hashing import hash64_expr
 from spider_ray.kernels.urlnorm import MAX_PATH_DEPTH, MAX_QUERY_LEN, canonicalize_parts
 
 _HOST_POOL = 1000
@@ -84,38 +83,19 @@ def _frontier_stage(batch: pa.Table, num_shards: int) -> pa.Table:
     return df.group_by("shard").agg(pl.len().alias("n")).to_arrow()
 
 
-# fixed identical-job chunk SIZE for scaling legs: the 32-cpu optimum under
-# the fused canonicalizer + tightened scheduler cadence is ~187.5k URLs per
-# block (sweeps 2026-08-18: at 24M urls, 64/96/128/192/256 blocks ->
-# 11.09/11.23/11.84/10.85/10.46 M urls/s — optimum 128 = 187.5k/block; at
-# 96M urls, 128/256/384/512/640/768 blocks -> 5.44/10.14/10.56/11.48/11.52/
-# 11.45 — optimum 512-640 = 150-187.5k/block). Chunk size, not block count,
-# is the invariant that transfers across job sizes: big whole-block batches
-# fall out of cache (128x750k: 5.44 M/s), finer ones pay dispatch. ONE
-# constant so bench.py --scaling and tools/scaling_curve.py can never run
-# different granularities.
+# rows per map_batches call when a caller passes ``parallelism``:
+# ``perfbench``'s ``frontier_canon`` workload runs ``run_frontier_bench`` at
+# ``scaling_parallelism`` and builds its single-process check from the same
+# SCALING_CHUNK-sized id ranges, so both sides see identical batches. The
+# value was the measured per-block optimum on a 32-CPU box (sweeps
+# 2026-08-18, BASELINE.md §11): chunk size, not block count, transfers across
+# job sizes, because big whole-block batches fall out of cache and finer ones
+# pay dispatch.
 SCALING_CHUNK = 187_500
 
 
 def scaling_parallelism(n_urls: int) -> int:
     return max(1, n_urls // SCALING_CHUNK)
-
-
-def run_scaling_leg(n_urls: int) -> dict:
-    """One scaling leg: untimed warm-up (spawns the worker pool), then
-    best-of-3 timed runs of the fixed ``SCALING_CHUNK``-granularity job.
-    Best-of-N because one noise dip in ONE leg otherwise corrupts the
-    cross-leg RATIO (BASELINE.md run L; raised 2→3 after the 2026-08-18
-    post-curation run where a best-of-2 32-leg still dipped 30% below a
-    standalone re-run minutes later in the same healthy-control window).
-    Shared by ``bench.py --scaling`` and ``tools/scaling_curve.py`` — the
-    identical-job invariant lives here, not in the callers."""
-    run_frontier_bench(6_000_000, parallelism=scaling_parallelism(6_000_000))
-    par = scaling_parallelism(n_urls)
-    return max(
-        (run_frontier_bench(n_urls, parallelism=par) for _ in range(3)),
-        key=lambda x: x["urls_per_s"],
-    )
 
 
 def run_frontier_bench(
@@ -137,7 +117,7 @@ def run_frontier_bench(
     t0 = time.time()
     # big blocks × in-task batch slicing (round 4, VERDICT r3 task #7):
     # 4× fewer dispatches than one-block-per-chunk while the UDF still
-    # sees the protocol's SCALING_CHUNK rows per call — measured +2-3%
+    # sees SCALING_CHUNK rows per call — measured +2-3%
     # at both widths in round 3 (BASELINE §18 "tested variants"), adopted
     # at the round boundary. parallelism=None keeps Ray's own defaults
     # (whole-block batches) for ad-hoc runs.
@@ -159,10 +139,9 @@ def run_frontier_bench(
     )
     # final tiny combine: per-shard totals. Consume by STREAMING iteration
     # (iter_batches), not to_arrow_refs(): the refs path adds ~0.5-0.8 s of
-    # fixed materialize/executor-finalize overhead per job on this box —
-    # negligible on a long job, but it hits the fast (many-cpu) scaling leg
-    # ~3x harder than the slow one and was worth ~35% of 32-cpu throughput
-    # (2.7 -> 3.7 M urls/s at 128 blocks, measured 2026-08-17)
+    # fixed materialize/executor-finalize overhead per job — negligible on
+    # a long job, but worth ~35% of 32-cpu throughput on this one (2.7 ->
+    # 3.7 M urls/s at 128 blocks, measured 2026-08-17)
     try:
         parts = pa.concat_tables(
             ds.iter_batches(batch_format="pyarrow", batch_size=None)
@@ -182,40 +161,6 @@ def run_frontier_bench(
         # single-process run of the same UDF without rebuilding the plan
         "shard_totals": totals.rows(),
     }
-
-
-def _mp_chunk(args) -> int:
-    lo, hi = args
-    t = _derive_urls({"id": np.arange(lo, hi)})
-    _frontier_stage(t, 64)
-    return hi - lo
-
-
-def run_control_bench(n_urls: int, procs: int) -> dict:
-    """Hardware control: the SAME per-batch UDF under plain multiprocessing
-    (no Ray). On a single box, scaling of this control is the hardware
-    ceiling (shared memory subsystem / VM noise); on a real 4N-node cluster
-    each node brings its own memory system, so pipeline efficiency tracks
-    per-node throughput. Reported next to the Ray numbers so the judge can
-    separate framework efficiency from hardware saturation."""
-    import multiprocessing as mp
-    import os as _os
-
-    # must be in the environment BEFORE the workers spawn: each spawned
-    # worker re-imports this module — and polars sizes its thread pool at
-    # import — so a setdefault inside the task fn (or even a Pool
-    # initializer, which itself unpickles by importing this module) runs
-    # too late. Children inherit the parent env at process creation.
-    _os.environ.setdefault("POLARS_MAX_THREADS", "1")
-    ctx = mp.get_context("spawn")  # never fork a process that has run Ray
-    chunk = 93_750
-    chunks = [(i, min(i + chunk, n_urls)) for i in range(0, n_urls, chunk)]
-    with ctx.Pool(procs) as p:
-        p.map(_mp_chunk, [(0, 20_000)] * procs)  # warm imports
-        t0 = time.time()
-        p.map(_mp_chunk, chunks)
-        wall = time.time() - t0
-    return {"n_urls": n_urls, "wall_s": wall, "urls_per_s": n_urls / wall}
 
 
 from spider_ray._serial import register_all as _register_all  # noqa: E402

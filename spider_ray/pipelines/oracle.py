@@ -337,6 +337,7 @@ def run_oracle(
                 "scheduled": len(sp),
                 "top_host": sched.last_top_host,
                 "top_host_n": sched.last_top_host_n,
+                "dropped": sched.last_dropped,
             }
             if s == 0:
                 mrow.update({f"norm_{k}": v for k, v in m.items()})

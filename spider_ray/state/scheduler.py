@@ -100,9 +100,10 @@ class ShardScheduler:
         self.seen_add_failures = 0
         self.image_add_failures = 0
         # the shard's heaviest host of the last admit, and the queued URLs
-        # run_wave has dropped for dead or zero-connection hosts
+        # the last run_wave dropped for dead or zero-connection hosts:
+        # per-wave values, never checkpointed
         self.last_top_host, self.last_top_host_n = "", 0
-        self._last_dropped = 0
+        self.last_dropped = 0
 
     # --- admission (dedup) ----------------------------------------------------
 
@@ -121,6 +122,7 @@ class ShardScheduler:
         once, batched, against the pre-wave filter, so intra-wave
         insertions can never cause a same-wave false positive (engine and
         oracle share this code, so it stays a parity seam)."""
+        self.last_top_host, self.last_top_host_n = "", 0
         if not rows:
             return [], 0, []
         # vectorized key hashing (one polars pass, not one call per row)
@@ -150,8 +152,6 @@ class ShardScheduler:
             best = np.lexsort((hosts, -counts))[0]
             self.last_top_host = str(hosts[best])
             self.last_top_host_n = int(counts[best])
-        else:
-            self.last_top_host, self.last_top_host_n = "", 0
         return accepted, hits, seen_rows
 
     def admit_images(self, image_hashes: np.ndarray) -> np.ndarray:
@@ -178,6 +178,7 @@ class ShardScheduler:
         latency_us) for completion/unregister simulation (the fetch itself is
         a later pipeline stage). Returns permits in fetch order."""
         now0 = max(self.clock, wave_start)
+        self.last_dropped = 0
         queues: dict[str, list] = {}
         for r in tasks:
             queues.setdefault(r["host"], []).append(
@@ -263,18 +264,16 @@ class ShardScheduler:
                 # gate — parking it in blocked_conn would re-wake/re-block
                 # it on every completion and then silently abandon its
                 # queue at wave end with no accounting. Treat it like the
-                # dead-key path: drop with the same metric.
+                # dead-key path: drop it and count it in last_dropped.
                 if self.lc._find_record(host, t).max_connections <= 0:
-                    dropped = len(q)
+                    self.last_dropped += len(q)
                     q.clear()
-                    self._last_dropped += dropped
                 else:
                     # sleep until the next completion wakes blocked hosts
                     blocked_conn.add(host)
             else:  # -2 dead key: drop all queued URLs for this host
-                dropped = len(q)
+                self.last_dropped += len(q)
                 q.clear()
-                self._last_dropped += dropped
 
         self.clock = end_time
         return permits
@@ -322,5 +321,5 @@ class ShardScheduler:
         obj.seen_add_failures = d["seen_add_failures"]
         obj.image_add_failures = d["image_add_failures"]
         obj.last_top_host, obj.last_top_host_n = "", 0
-        obj._last_dropped = 0
+        obj.last_dropped = 0
         return obj

@@ -153,8 +153,9 @@ def test_metrics_written(engine_out):
 
 def test_metrics_parity_with_oracle(engine_out, oracle_out):
     """Per-(gen, shard) scheduling counters must match the oracle exactly:
-    candidates routed, dedup hits, permits scheduled."""
-    keys = ("candidates", "dedup_hits", "scheduled", "top_host", "top_host_n")
+    candidates routed, dedup hits, permits scheduled, queued URLs dropped."""
+    keys = ("candidates", "dedup_hits", "scheduled", "top_host", "top_host_n",
+            "dropped")
     eng = {
         (r["gen"], r["shard"]): tuple(r[k] for k in keys)
         for r in _engine_rows(OUT, "metrics.parquet")

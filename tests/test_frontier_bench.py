@@ -1,6 +1,6 @@
 """Parity + contract tests for the frontier throughput pipeline
-(pipelines/frontier_bench.py) — the job behind bench.py's frontier
-component and the --scaling legs.
+(pipelines/frontier_bench.py) — the job behind perfbench's
+``frontier_canon`` workload.
 
 Pins the streaming-consumption refactor (iter_batches instead of
 to_arrow_refs): the distributed result must equal a single-process run

@@ -150,7 +150,10 @@ def test_zero_connection_host_dropped_with_accounting():
     hosts = {p.host for p in permits}
     assert hosts == {"ok.example.com"}
     assert len(permits) == 3
-    assert getattr(sched, "_last_dropped", 0) == 3
+    assert sched.last_dropped == 3
+    # per wave: the next wave starts the count again
+    sched.run_wave([], wave_start=0, meta={})
+    assert sched.last_dropped == 0
 
 
 def test_cuckoo_saturation_counted_not_silent():
@@ -184,6 +187,24 @@ def test_cuckoo_saturation_counted_not_silent():
     back = ShardScheduler.from_state_dict(d)
     assert back.seen_add_failures == sched.seen_add_failures
     assert back.image_add_failures == sched.image_add_failures
+
+
+def test_empty_admit_clears_top_host_like_resume():
+    """A wave with no candidates for a shard reports no top host. A
+    scheduler restored from a checkpoint starts with none, so an
+    uninterrupted crawl must report the same as a resumed one."""
+    from spider_ray.state.scheduler import ShardScheduler
+
+    sched = ShardScheduler(0, 1)
+    url = "http://hot.example.com/a"
+    sched.admit([{"url": url, "url_hash": int(hash64([url])[0]),
+                  "host": "hot.example.com", "tried": 0, "gen": 0}])
+    assert (sched.last_top_host, sched.last_top_host_n) == ("hot.example.com", 1)
+    resumed = ShardScheduler.from_state_dict(sched.state_dict())
+    sched.admit([])
+    resumed.admit([])
+    assert (sched.last_top_host, sched.last_top_host_n) == ("", 0)
+    assert (resumed.last_top_host, resumed.last_top_host_n) == ("", 0)
 
 
 def test_checkpoint_size_independent_of_seen_count():

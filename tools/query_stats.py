@@ -7,6 +7,9 @@ end-to-end wall time when it returns a materialized table (most queries
 materialize internally; their per-stage costs still appear in the Ray Data
 log lines this prints after the run).
 
+Starts a local Ray session sized to this process's CPU affinity unless one
+is already running.
+
 Usage:  python tools/query_stats.py [sf_dir] <query> [query ...]
         python tools/query_stats.py /root/testdata/sf0.1 union_dedup
 """
@@ -27,7 +30,7 @@ def main() -> int:
     sf = args.pop(0) if args and os.path.isdir(args[0]) else "/root/testdata/sf0.1"
     if not ray.is_initialized():
         os.environ.setdefault("POLARS_MAX_THREADS", "1")  # 1 thread/worker
-        ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+        ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
                  include_dashboard=False, logging_level="ERROR")
     from spider_ray.compat import tighten_scheduler_cadence
 
