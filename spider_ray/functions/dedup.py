@@ -1109,7 +1109,7 @@ def q_dup_spans(sf_dir: str) -> pa.Table:
             pl.from_arrow(batch)
             .with_columns(ws=pl.col("text").str.extract_all(tk.NONWS_PAT))
             .select("doc_id", "ws")
-            .explode("ws")
+            .explode("ws", empty_as_null=False)
             .drop_nulls("ws")
         )
         parts = [pl.col("ws")] + [

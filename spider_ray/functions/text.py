@@ -399,7 +399,7 @@ def q_vocab_oov(sf_dir: str) -> pa.Table:
         return (
             pl.from_arrow(batch)
             .select(word=pl.col("text").str.extract_all(tk.NONWS_PAT))
-            .explode("word")
+            .explode("word", empty_as_null=False)
             .drop_nulls()
             .group_by("word")
             .agg(n=pl.len().cast(pl.Int64))
@@ -668,7 +668,7 @@ def _word_freq_topw(sf_dir: str, w: int) -> pa.Table:
         return (
             pl.from_arrow(batch)
             .select(word=pl.col("text").str.extract_all(tk.NONWS_PAT))
-            .explode("word")
+            .explode("word", empty_as_null=False)
             .drop_nulls()
             .group_by("word")
             .agg(n=pl.len().cast(pl.Int64))
@@ -775,7 +775,7 @@ def q_bpe_segment(sf_dir: str) -> pa.Table:
                 pl.col("lang"),
                 word=pl.col("text").str.extract_all(tk.NONWS_PAT),
             )
-            .explode("word")
+            .explode("word", empty_as_null=False)
             .drop_nulls()
             .group_by(["lang", "word"])
             .agg(n=pl.len().cast(pl.Int64))

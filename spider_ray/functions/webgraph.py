@@ -150,7 +150,7 @@ def redirect_edges(corpus: str) -> ray.data.Dataset:
         al = (
             base.filter(pl.col("alias"))
             .with_columns(j=pl.int_ranges(1, pl.col("depth") + 1))
-            .explode("j")
+            .explode("j", empty_as_null=True)
             .with_columns(
                 src=pl.col("url") + "?r=" + pl.col("j").cast(pl.String),
                 dst=pl.when(pl.col("j") == 1)
@@ -337,7 +337,7 @@ def q_link_rank(corpus: str) -> pa.Table:
     def explode(t: pa.Table) -> pa.Table:
         df = (
             pl.from_arrow(t)
-            .explode("outlinks")
+            .explode("outlinks", empty_as_null=False)
             .drop_nulls("outlinks")
             .select(
                 src=pl.col("url"),
@@ -644,7 +644,7 @@ def q_connected_components(corpus: str) -> pa.Table:
     def to_edges(t: pa.Table) -> pa.Table:
         df = (
             pl.from_arrow(t)
-            .explode("outlinks")
+            .explode("outlinks", empty_as_null=False)
             .drop_nulls("outlinks")
             .select(
                 a=pl.col("url"), b=pl.col("outlinks").struct.field("url")
@@ -689,7 +689,7 @@ def q_triangle_count(corpus: str) -> pa.Table:
     def canon(t: pa.Table) -> pa.Table:
         df = (
             pl.from_arrow(t)
-            .explode("outlinks")
+            .explode("outlinks", empty_as_null=False)
             .drop_nulls("outlinks")
             .select(
                 u=pl.col("url"), v=pl.col("outlinks").struct.field("url")
@@ -831,7 +831,7 @@ def q_anchor_text(corpus: str) -> pa.Table:
     def explode(t: pa.Table) -> pa.Table:
         df = (
             pl.from_arrow(t)
-            .explode("outlinks")
+            .explode("outlinks", empty_as_null=False)
             .drop_nulls("outlinks")
             .select(
                 src_host=pl.col("host"),
@@ -932,7 +932,7 @@ def q_host_graph(corpus: str) -> pa.Table:
     def explode(t: pa.Table) -> pa.Table:
         df = (
             pl.from_arrow(t)
-            .explode("outlinks")
+            .explode("outlinks", empty_as_null=False)
             .drop_nulls("outlinks")
             .select(
                 src_host=pl.col("host"),
@@ -1153,7 +1153,7 @@ def q_crawl_eval(
     def explode(t: pa.Table) -> pa.Table:
         df = (
             pl.from_arrow(t)
-            .explode("outlinks")
+            .explode("outlinks", empty_as_null=False)
             .drop_nulls("outlinks")
             .select(url=pl.col("outlinks").struct.field("url"))
         )

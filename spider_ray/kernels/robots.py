@@ -36,26 +36,33 @@ class RuleSet:
 
     rules: list[tuple[bool, str]] = field(default_factory=list)
     crawl_delay: float | None = None
+    # (allow, pattern length, compiled pattern) per rule, built on first use
+    _compiled: list = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def allowed(self, path: str) -> bool:
+        if len(self._compiled) != len(self.rules):  # new rules appended
+            self._compiled = [
+                (allow, len(pat), _compile(pat)) for allow, pat in self.rules
+            ]
         best_len = -1
         best_allow = True  # no matching rule → allowed
-        for allow, pat in self.rules:
-            if _match(pat, path):
-                plen = len(pat)
+        for allow, plen, rx in self._compiled:
+            if rx.match(path) is not None:
                 if plen > best_len or (plen == best_len and allow and not best_allow):
                     best_len = plen
                     best_allow = allow
         return best_allow
 
 
-def _match(pattern: str, path: str) -> bool:
-    if not pattern:
-        return True
+def _compile(pattern: str) -> re.Pattern:
+    """A rule path as an anchored regex: ``*`` any run, a trailing ``$``
+    the end; the empty pattern matches every path."""
     rx = re.escape(pattern).replace(r"\*", ".*")
     if rx.endswith(r"\$"):
         rx = rx[:-2] + "$"
-    return re.match(rx, path) is not None
+    return re.compile(rx)
 
 
 _COLLAPSE_STARS = re.compile(r"\*{2,}")

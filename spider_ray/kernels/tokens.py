@@ -334,7 +334,8 @@ def detect_lang_batch(texts) -> "pa.Array":
             .str.extract_all(NONWS_PAT)
             .alias("w"),
         )
-        .explode("w")  # empty/null list -> one null-w row: n counts 0
+        # empty/null list -> one null-w row: n counts 0
+        .explode("w", empty_as_null=True)
         .group_by("i")
         .agg(
             [pl.col("w").is_not_null().sum().alias("n")]

@@ -5,12 +5,15 @@ fetch → extract → frontier[g+1]):
 
 1. candidate block refs → one pure ``_normalize_split`` task per block:
    normalize (stateless canonicalize/rules/robots/bands, robots table
-   broadcast via ``ray.put``), then split the accepted rows by shard. Not
-   Ray Data: a fixed ~80 ms per execution outweighs one or two blocks;
+   broadcast via ``ray.put``), then split the accepted rows by shard; the
+   task also returns the block's reject counts, summed per generation into
+   the ``norm_*`` metrics columns. Not Ray Data: a fixed ~80 ms per
+   execution outweighs one or two blocks;
 2. ``ShardActor.schedule_wave`` (raw actor: the one shared-mutable-state
    piece the Dataset API can't express) takes its part of every block as
    arguments, admits the rows in ``seq`` order against the shard's
-   cuckoo filter and runs the politeness DES; it returns three refs — the
+   cuckoo filter (on the Arrow columns; only the admitted rows become
+   Python dicts) and runs the politeness DES; it returns three refs — the
    shard's stats, its timed fetch permits and its new seen rows (Arrow
    tables), and the driver writes the seen rows as the ``seen`` sink;
 3. permits → sort by the global crawl-order key → permit chunks; the driver
@@ -91,9 +94,9 @@ from spider_ray.pipelines.oracle import (
     load_corpus_shard,
 )
 from spider_ray.stages.fetchsim import WebIndex, fetch_one, process_image
-from spider_ray.stages.normalize import normalize_batch, shard_meta
+from spider_ray.stages.normalize import NORM_KEYS, normalize_batch, shard_meta
 from spider_ray.state.load_controller import LoadOptions, apply_crawl_delays
-from spider_ray.state.scheduler import FetchPermit, ShardScheduler
+from spider_ray.state.scheduler import SEEN_SCHEMA, FetchPermit, ShardScheduler
 
 MAX_GENS = 8
 
@@ -178,14 +181,14 @@ class ShardActor:
         seen rows as a ``SEEN_SCHEMA`` table): the driver ``ray.get``s the
         stats and seen refs and hands the permit ref straight to the
         permit sort / fetch stage."""
-        # arrow-kernel sort by seq BEFORE the one unavoidable to_pylist
-        # (the DES consumes per-row dicts)
-        rows = pa.concat_tables(tables).sort_by("seq").to_pylist()
-        accepted, hits, seen_rows = self.sched.admit(rows)
+        # admit works on the seq-sorted columns; only its accepted rows
+        # become the dicts the DES consumes
+        wave = pa.concat_tables(tables).sort_by("seq")
+        accepted, hits, seen_t = self.sched.admit(wave)
         permits = self.sched.run_wave(accepted, wave_start, self.meta)
         stats = {
             "dedup_hits": hits,
-            "candidates": len(rows),
+            "candidates": wave.num_rows,
             "scheduled": len(permits),
             "top_host": self.sched.last_top_host,
             "top_host_n": self.sched.last_top_host_n,
@@ -203,7 +206,6 @@ class ShardActor:
                 self.sched.seen_add_failures + self.sched.image_add_failures
             ),
         }
-        seen_t = pa.table(list(zip(*seen_rows)) or [[]] * 3, schema=SEEN_SCHEMA)
         return stats, pa.Table.from_pylist(
             [p.__dict__ for p in permits], schema=PERMIT_SCHEMA
         ), seen_t
@@ -379,14 +381,6 @@ IMAGE_SCHEMA = pa.schema(
         ("caption", pa.string()),
         ("phash", pa.int64()),
         ("dims_ok", pa.bool_()),
-        ("first_gen", pa.int32()),
-    ]
-)
-
-SEEN_SCHEMA = pa.schema(
-    [
-        ("url_hash", pa.uint64()),
-        ("url", pa.string()),
         ("first_gen", pa.int32()),
     ]
 )
@@ -716,17 +710,17 @@ def _with_sort_key(t: pa.Table) -> pa.Table:
 def _normalize_split(block: pa.Table, robots: dict, num_shards: int,
                      gen: int, hot_hosts: tuple[str, ...]):
     """One candidate block → its accepted rows (``normalize_batch``) split
-    by shard; run with ``num_returns=num_shards``. Return s holds shard s's
+    by shard, then its normalize counts; run with
+    ``num_returns=num_shards + 1``. Return s < num_shards holds shard s's
     rows, or none (same schema) where the block has none for it."""
-    out, _m = normalize_batch(
+    out, m = normalize_batch(
         block, robots, num_shards, gen, hot_hosts=hot_hosts
     )
     out = out.sort_by("shard")
     cuts = np.searchsorted(
         out["shard"].to_numpy(), np.arange(num_shards + 1)
     ).tolist()
-    parts = [out.slice(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
-    return parts[0] if num_shards == 1 else tuple(parts)
+    return (*(out.slice(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])), m)
 
 
 def _derive_block(handler, block: pa.Table):
@@ -758,7 +752,7 @@ def _derive_block(handler, block: pa.Table):
     fdf = pl.from_arrow(block)
     image_refs = (
         fdf.select(POS, "images")
-        .explode("images")
+        .explode("images", empty_as_null=False)
         .drop_nulls("images")
         .unnest("images")
     )
@@ -772,7 +766,7 @@ def _derive_block(handler, block: pa.Table):
     )
     outlinks = (
         fdf.select(POS, "effective_url", "outlinks")
-        .explode("outlinks")
+        .explode("outlinks", empty_as_null=False)
         .drop_nulls("outlinks")
         .unnest("outlinks")
         .select(
@@ -1098,14 +1092,13 @@ def run_crawl(
             # returns that block's accepted rows split by shard. The wait
             # only closes the phase: every schedule_wave needs every block.
             parts = [
-                _normalize_split.options(num_returns=num_shards).remote(
+                _normalize_split.options(num_returns=num_shards + 1).remote(
                     b, robots_ref, num_shards, gen, hot_hosts
                 )
                 for b in cand_blocks
             ]
-            if num_shards == 1:
-                parts = [[p] for p in parts]
-            part_refs = [r for p in parts for r in p]
+            norm_refs = [p[-1] for p in parts]
+            part_refs = [r for p in parts for r in p[:-1]]
             ray.wait(part_refs, num_returns=len(part_refs), fetch_local=False)
             marks.append(time.perf_counter())
 
@@ -1118,10 +1111,19 @@ def run_crawl(
                 a.schedule_wave.remote(wave_start, *(p[s] for p in parts))
                 for s, a in enumerate(actors)
             ]
-            got = ray.get([r[0] for r in sched_refs] + [r[2] for r in sched_refs])
-            wave_res, seen_parts = got[:num_shards], got[num_shards:]
+            got = ray.get(
+                [r[0] for r in sched_refs] + [r[2] for r in sched_refs]
+                + norm_refs
+            )
+            wave_res = got[:num_shards]
+            seen_parts = got[num_shards:2 * num_shards]
+            # the generation's normalize funnel, summed over its blocks
+            norm_m = {
+                f"norm_{k}": sum(m[k] for m in got[2 * num_shards:])
+                for k in NORM_KEYS
+            }
             # the calls are done: let the object store free the routed rows
-            del parts, part_refs
+            del parts, part_refs, norm_refs
             permit_refs = [pt for _, pt, _ in sched_refs]
             seen_writer = RollingWriter(gen_dir, "seen")
             for t in seen_parts:
@@ -1279,6 +1281,7 @@ def run_crawl(
                     "top_host": res["top_host"],
                     "top_host_n": res["top_host_n"],
                     "dropped": res["dropped"],
+                    **norm_m,
                     "cuckoo_add_failures": res["cuckoo_add_failures"],
                     "seen_size": res["seen_size"],
                     "shard_clock_us": res["clock"],

@@ -10,6 +10,7 @@ metrics (FIXTURES.md §8).
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from spider_ray.kernels.hashing import hash64
@@ -314,34 +315,24 @@ def run_oracle(
         norm, m = normalize_batch(
             candidates, c["robots"], num_shards, gen, hot_hosts=hot_hosts
         )
-        rows = norm.to_pylist()
-        by_shard: dict[int, list[dict]] = {}
-        for r in rows:
-            by_shard.setdefault(r["shard"], []).append(r)
-
         permits = []
         for s, sched in enumerate(shards):
-            srows = sorted(by_shard.get(s, []), key=lambda r: r["seq"])
-            accepted, hits, new_seen = sched.admit(srows)
-            seen_rows.extend(
-                {"url_hash": uh, "url": u, "first_gen": g}
-                for uh, u, g in new_seen
-            )
+            wave = norm.filter(pc.equal(norm["shard"], s)).sort_by("seq")
+            accepted, hits, new_seen = sched.admit(wave)
+            seen_rows.extend(new_seen.to_pylist())
             sp = sched.run_wave(accepted, wave_start, meta)
             permits.extend(sp)
-            mrow = {
+            metrics_rows.append({
                 "gen": gen,
                 "shard": s,
-                "candidates": len(srows),
+                "candidates": wave.num_rows,
                 "dedup_hits": hits,
                 "scheduled": len(sp),
                 "top_host": sched.last_top_host,
                 "top_host_n": sched.last_top_host_n,
                 "dropped": sched.last_dropped,
-            }
-            if s == 0:
-                mrow.update({f"norm_{k}": v for k, v in m.items()})
-            metrics_rows.append(mrow)
+                **{f"norm_{k}": v for k, v in m.items()},
+            })
 
         permits.sort(key=permit_sort_key)
         next_retries: list[dict] = []

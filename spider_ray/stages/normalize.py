@@ -4,18 +4,23 @@ score → priority bands (O6/T4), shard assignment.
 
 One pure function over a pyarrow batch, used identically by the crawl's
 normalize task (``_normalize_split`` in ``pipelines/crawl.py``) and the
-single-process oracle — the parity seam from SURVEY §7.4.1.
+single-process oracle — the parity seam from SURVEY §7.4.1. It works on
+columns: the per-URL kernels run once per distinct raw URL (a wave's
+candidates are mostly duplicates), per-row masks count the rejects, and
+Arrow ``take`` builds the accepted table.
 
-Candidate batch schema in:  url, depth, tried, priority (nullable), referer
+Candidate batch schema in:  url, depth, tried, priority (nullable), referer,
+optionally seq
 Batch schema out (accepted): url (canonical), url_hash (u64), host,
-host_hash (u64), shard (i32), depth, tried, priority, seq (i64), gen,
-referer — plus a rejected-side count dict for metrics.
+host_hash (u64), shard (i32), depth, tried, priority, gen, seq (i64),
+referer — plus the reject counts (``NORM_KEYS``) for metrics.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from spider_ray.kernels.hashing import derive, hash64
 from spider_ray.kernels.robots import is_fetchable, robots_level
@@ -23,6 +28,9 @@ from spider_ray.kernels.urlnorm import canonicalize_parts, filter_rules, host_of
 
 MAX_DEPTH = 3  # crawler2/general_crawler/extractor.cc:36 max_url_depth
 POLICY = "general"
+# normalize_batch's metric counts; metrics.parquet carries them as norm_*
+NORM_KEYS = ("in", "canon_reject", "rule_reject", "robots_blocked",
+             "depth_exceeded", "accepted")
 
 
 def score_url(url_hashes: np.ndarray) -> np.ndarray:
@@ -130,6 +138,36 @@ def shard_meta(
     }
 
 
+def _robots_ok(
+    canon: list[str | None], hosts: list[str], robots_groups: dict[str, dict]
+) -> np.ndarray:
+    """Robots verdict (``POLICY``) of each canonical URL; ``None`` entries
+    (not canonical) read False. The path robots rules see is the canonical
+    URL after its host, port stripped."""
+    ok = np.zeros(len(canon), dtype=bool)
+    for i, (cu, h) in enumerate(zip(canon, hosts)):
+        if cu is None:
+            continue
+        groups = robots_groups.get(h)
+        if groups is None:  # no robots.txt: level 1, fetchable
+            ok[i] = True
+            continue
+        after_auth = cu.split("://", 1)[1][len(h):]
+        if after_auth.startswith(":"):  # strip port
+            slash = after_auth.find("/")
+            after_auth = after_auth[slash:] if slash >= 0 else "/"
+        ok[i] = is_fetchable(robots_level(groups, after_auth or "/"), POLICY)
+    return ok
+
+
+def _filled(batch: pa.Table, name: str, typ: pa.DataType, fill, rows):
+    """Column ``name`` at ``rows`` with nulls as ``fill``, or all ``fill``
+    when the batch has no such column."""
+    if name not in batch.column_names:
+        return pa.array([fill] * len(rows), typ)
+    return pc.fill_null(batch[name].take(rows).cast(typ), fill).combine_chunks()
+
+
 def normalize_batch(
     batch: pa.Table,
     robots_groups: dict[str, dict],
@@ -141,84 +179,80 @@ def normalize_batch(
 ) -> tuple[pa.Table, dict[str, int]]:
     """Returns (accepted table, metric counts). ``seq_offset`` gives this
     batch's first arrival-sequence number (caller guarantees global
-    uniqueness: seq = position in the generation's candidate file)."""
-    urls_raw = batch["url"].to_pylist()
-    parts = canonicalize_parts(urls_raw)
+    uniqueness: seq = position in the generation's candidate file) and is
+    used only when the batch has no ``seq`` column.
+
+    A wave's candidates are mostly duplicates, so the per-URL work
+    (canonicalize, rule filter, robots verdict, hashes, score/band, shard)
+    runs once per DISTINCT raw URL of the dictionary-encoded ``url`` column
+    (null is an entry of its own). Each row then reads its URL's verdicts,
+    and the per-row rejects count in the order canon, rule, depth, robots.
+    Accepted rows keep their input order."""
+    enc = batch["url"].combine_chunks().dictionary_encode(null_encoding="encode")
+    idx = enc.indices.to_numpy()
+    n = len(idx)
+    parts = canonicalize_parts(enc.dictionary)
     canon = parts["canon"].to_list()
-    keep, reasons = filter_rules(canon, blacklist)
-    metrics = {"in": len(urls_raw), "canon_reject": 0, "rule_reject": 0,
-               "robots_blocked": 0, "depth_exceeded": 0, "accepted": 0}
-    hostv = parts["host"].fill_null("").to_list()
-    depth = batch["depth"].to_pylist() if "depth" in batch.column_names else [0] * len(urls_raw)
-    tried = batch["tried"].to_pylist() if "tried" in batch.column_names else [0] * len(urls_raw)
-    prio_in = (
-        batch["priority"].to_pylist()
-        if "priority" in batch.column_names
-        else [None] * len(urls_raw)
+    host_s = parts["host"].fill_null("")
+    hosts = host_s.to_list()
+    keep_u, _ = filter_rules(canon, blacklist)
+
+    canon_ok = parts["canon"].is_not_null().to_numpy()[idx]
+    rule_ok = canon_ok & keep_u[idx]
+    if "depth" in batch.column_names:
+        depth = batch["depth"].combine_chunks()
+        depth_ok = rule_ok & pc.fill_null(
+            pc.less_equal(depth, MAX_DEPTH), True
+        ).to_numpy(zero_copy_only=False)
+    else:
+        depth_ok = rule_ok
+    # robots only for the URLs some depth-passing row still needs
+    need = np.zeros(len(canon), dtype=bool)
+    need[idx[depth_ok]] = True
+    robots_ok_u = _robots_ok(
+        [c if w else None for c, w in zip(canon, need)], hosts, robots_groups
     )
-    referer = (
-        batch["referer"].to_pylist()
-        if "referer" in batch.column_names
-        else [""] * len(urls_raw)
+    accept = depth_ok & robots_ok_u[idx]
+    n_canon, n_rule, n_depth, n_acc = (
+        int(m.sum()) for m in (canon_ok, rule_ok, depth_ok, accept)
     )
-    seq_in = (
-        batch["seq"].to_pylist()
+    metrics = {"in": n, "canon_reject": n - n_canon,
+               "rule_reject": n_canon - n_rule,
+               "robots_blocked": n_depth - n_acc,
+               "depth_exceeded": n_rule - n_depth,
+               "accepted": n_acc}
+
+    uh = hash64(parts["canon"].to_arrow())
+    hh = hash64(host_s.to_arrow())
+    band = priority_band(score_url(uh), uh)
+    shard = shard_of(hh, hosts, num_shards, hot_hosts)
+
+    rows = np.flatnonzero(accept)
+    u = idx[rows]
+    take_u = pa.array(u)
+    prio = pa.array(band[u], pa.int16())
+    if "priority" in batch.column_names:
+        prio = pc.fill_null(
+            batch["priority"].take(rows).cast(pa.int16()).combine_chunks(), prio
+        )
+    seq = (
+        batch["seq"].take(rows).cast(pa.int64()).combine_chunks()
         if "seq" in batch.column_names
-        else [seq_offset + i for i in range(len(urls_raw))]
+        else pa.array(seq_offset + rows, pa.int64())
     )
-
-    rows = {k: [] for k in ("url", "host", "depth", "tried", "priority",
-                            "seq", "referer")}
-    for i, cu in enumerate(canon):
-        if cu is None:
-            metrics["canon_reject"] += 1
-            continue
-        if not keep[i]:
-            metrics["rule_reject"] += 1
-            continue
-        if depth[i] is not None and depth[i] > MAX_DEPTH:
-            metrics["depth_exceeded"] += 1
-            continue
-        h = hostv[i]
-        after_auth = cu.split("://", 1)[1][len(h):]
-        if after_auth.startswith(":"):  # strip port
-            slash = after_auth.find("/")
-            after_auth = after_auth[slash:] if slash >= 0 else "/"
-        lvl = robots_level(robots_groups.get(h), after_auth or "/")
-        if not is_fetchable(lvl, POLICY):
-            metrics["robots_blocked"] += 1
-            continue
-        rows["url"].append(cu)
-        rows["host"].append(h)
-        rows["depth"].append(int(depth[i] or 0))
-        rows["tried"].append(int(tried[i] or 0))
-        rows["priority"].append(prio_in[i])
-        rows["seq"].append(seq_in[i])
-        rows["referer"].append(referer[i] or "")
-    metrics["accepted"] = len(rows["url"])
-
-    uh = hash64(rows["url"])
-    hh = hash64(rows["host"])
-    scores = score_url(uh)
-    bands = priority_band(scores, uh)
-    prio = np.array(
-        [p if p is not None else int(b) for p, b in zip(rows["priority"], bands)],
-        dtype=np.int16,
-    )
-    shard = shard_of(hh, rows["host"], num_shards, hot_hosts)
     out = pa.table(
         {
-            "url": pa.array(rows["url"], pa.string()),
-            "url_hash": pa.array(uh, pa.uint64()),
-            "host": pa.array(rows["host"], pa.string()),
-            "host_hash": pa.array(hh, pa.uint64()),
-            "shard": pa.array(shard, pa.int32()),
-            "depth": pa.array(rows["depth"], pa.int16()),
-            "tried": pa.array(rows["tried"], pa.int16()),
-            "priority": pa.array(prio, pa.int16()),
-            "gen": pa.array([gen] * len(rows["url"]), pa.int32()),
-            "seq": pa.array(rows["seq"], pa.int64()),
-            "referer": pa.array(rows["referer"], pa.string()),
+            "url": parts["canon"].to_arrow().take(take_u).cast(pa.string()),
+            "url_hash": pa.array(uh[u], pa.uint64()),
+            "host": host_s.to_arrow().take(take_u).cast(pa.string()),
+            "host_hash": pa.array(hh[u], pa.uint64()),
+            "shard": pa.array(shard[u], pa.int32()),
+            "depth": _filled(batch, "depth", pa.int16(), 0, rows),
+            "tried": _filled(batch, "tried", pa.int16(), 0, rows),
+            "priority": prio,
+            "gen": pa.array(np.full(len(rows), gen), pa.int32()),
+            "seq": seq,
+            "referer": _filled(batch, "referer", pa.string(), "", rows),
         }
     )
     return out, metrics

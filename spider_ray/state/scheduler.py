@@ -33,10 +33,21 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from spider_ray.kernels.hashing import hash64
 from spider_ray.state.cuckoo import CuckooFilter
 from spider_ray.state.load_controller import LoadController, LoadOptions, LoadRecord, parse_window
+
+# one wave's new seen rows, the rows of the crawl's ``seen`` sink
+SEEN_SCHEMA = pa.schema(
+    [
+        ("url_hash", pa.uint64()),
+        ("url", pa.string()),
+        ("first_gen", pa.int32()),
+    ]
+)
 
 # the fields of a checkpoint (``state_dict``)
 _STATE_KEYS = {"shard_id", "num_shards", "lc", "lc_records", "lc_options",
@@ -107,52 +118,58 @@ class ShardScheduler:
 
     # --- admission (dedup) ----------------------------------------------------
 
-    def admit(
-        self, rows: list[dict]
-    ) -> tuple[list[dict], int, list[tuple[int, str, int]]]:
-        """Seen-check + add, VECTORIZED. rows need keys url, url_hash,
-        tried, gen, host. Returns (accepted rows, dedup_hits, new seen
-        rows): the seen rows are the accepted rows with ``tried == 0`` as
-        ``(url_hash, url, first_gen)``, the wave's additions to the exact
-        ``seen`` table the driver persists.
+    def admit(self, wave: pa.Table) -> tuple[list[dict], int, pa.Table]:
+        """Seen-check + add over this shard's candidate table, sorted by
+        ``seq``. Needs columns url, url_hash (uint64), tried, gen, host.
+        Returns (accepted rows as dicts for ``run_wave``, dedup_hits, new
+        seen rows): the seen rows are the accepted rows with
+        ``tried == 0`` as a ``SEEN_SCHEMA`` table ``(url_hash, url,
+        first_gen)``, the wave's additions to the exact ``seen`` table the
+        driver persists.
 
         The cuckoo filter decides: a key's FIRST occurrence is admitted
         unless the PRE-WAVE filter holds it; later occurrences in the same
         wave are always duplicates (first-wins). The membership probe runs
         once, batched, against the pre-wave filter, so intra-wave
         insertions can never cause a same-wave false positive (engine and
-        oracle share this code, so it stays a parity seam)."""
+        oracle share this code, so it stays a parity seam). Keys, the
+        probe and the duplicate drop run on the columns; only the accepted
+        rows become dicts."""
         self.last_top_host, self.last_top_host_n = "", 0
-        if not rows:
-            return [], 0, []
-        # vectorized key hashing (one polars pass, not one call per row)
-        keys = hash64([f"{r['tried']}_{r['url']}" for r in rows])
-        n = len(rows)
+        if wave.num_rows == 0:
+            return [], 0, SEEN_SCHEMA.empty_table()
+        # key = hash64(f"{tried}_{url}"), built as one Arrow string column
+        keys = hash64(pc.binary_join_element_wise(
+            pc.cast(wave["tried"], pa.string()), wave["url"], "_"
+        ))
+        n = len(keys)
         is_first = np.zeros(n, dtype=bool)
         is_first[np.unique(keys, return_index=True)[1]] = True
-        accept_mask = is_first & ~self.seen.contains_many(keys)
-        hits = int(n - accept_mask.sum())
-
-        accepted, seen_rows = [], []
-        for i in np.flatnonzero(accept_mask):
-            r = rows[i]
-            if not self.seen.add(int(keys[i])):
+        acc = np.flatnonzero(is_first & ~self.seen.contains_many(keys))
+        hits = n - len(acc)
+        for k in keys[acc].tolist():
+            if not self.seen.add(k):
                 self.seen_add_failures += 1
-            if r["tried"] == 0:
-                seen_rows.append((int(r["url_hash"]), r["url"], int(r["gen"])))
-            accepted.append(r)
+        accepted = wave.take(acc)
+        first = accepted.filter(pc.equal(accepted["tried"], 0))
+        seen_t = pa.table(
+            [first["url_hash"], first["url"], first["gen"]],
+            names=SEEN_SCHEMA.names,
+        ).cast(SEEN_SCHEMA)
         # host_stat analog (A2, control/schedule/host_stat.cc): the shard's
-        # heaviest host this wave — the signal the hot-host valve acts on.
-        # Computed HERE (shared kernel) so engine and oracle metrics agree.
-        if accepted:
-            hosts, counts = np.unique(
-                np.array([r["host"] for r in accepted], dtype=object),
-                return_counts=True,
+        # heaviest host this wave (ties: smallest name) — the signal the
+        # hot-host valve acts on. Computed HERE (shared kernel) so engine
+        # and oracle metrics agree.
+        if len(acc):
+            vc = pc.value_counts(accepted["host"])
+            counts = vc.field("counts").to_numpy()
+            top = int(counts.max())
+            self.last_top_host = min(
+                h for h, c in zip(vc.field("values").to_pylist(), counts)
+                if c == top
             )
-            best = np.lexsort((hosts, -counts))[0]
-            self.last_top_host = str(hosts[best])
-            self.last_top_host_n = int(counts[best])
-        return accepted, hits, seen_rows
+            self.last_top_host_n = top
+        return accepted.to_pylist(), hits, seen_t
 
     def admit_images(self, image_hashes: np.ndarray) -> np.ndarray:
         """First-wins dedup mask for image ids (D6 analog)."""

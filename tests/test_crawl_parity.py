@@ -153,9 +153,12 @@ def test_metrics_written(engine_out):
 
 def test_metrics_parity_with_oracle(engine_out, oracle_out):
     """Per-(gen, shard) scheduling counters must match the oracle exactly:
-    candidates routed, dedup hits, permits scheduled, queued URLs dropped."""
+    candidates routed, dedup hits, permits scheduled, queued URLs dropped,
+    and the generation's normalize funnel on every row."""
+    from spider_ray.stages.normalize import NORM_KEYS
+
     keys = ("candidates", "dedup_hits", "scheduled", "top_host", "top_host_n",
-            "dropped")
+            "dropped") + tuple(f"norm_{k}" for k in NORM_KEYS)
     eng = {
         (r["gen"], r["shard"]): tuple(r[k] for k in keys)
         for r in _engine_rows(OUT, "metrics.parquet")

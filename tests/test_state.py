@@ -2,6 +2,7 @@
 crawl/tests/load_controller_test.cc), cuckoo filter, robots parser."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from spider_ray.kernels.hashing import hash64
@@ -19,6 +20,17 @@ from spider_ray.state.load_controller import (
     LoadRecord,
     parse_window,
 )
+
+
+def _wave(rows: list[dict]) -> pa.Table:
+    """Candidate rows as the table ``ShardScheduler.admit`` takes."""
+    return pa.table({
+        "url": pa.array([r["url"] for r in rows], pa.string()),
+        "url_hash": pa.array([r["url_hash"] for r in rows], pa.uint64()),
+        "host": pa.array([r["host"] for r in rows], pa.string()),
+        "tried": pa.array([r["tried"] for r in rows], pa.int16()),
+        "gen": pa.array([r["gen"] for r in rows], pa.int32()),
+    })
 
 
 # --- LoadController -----------------------------------------------------------
@@ -176,7 +188,7 @@ def test_cuckoo_saturation_counted_not_silent():
         }
         for i in range(2000)
     ]
-    sched.admit(rows)
+    sched.admit(_wave(rows))
     assert sched.seen_add_failures > 0  # far past capacity: must be visible
     # well-mixed hashes, as the pipeline feeds (hash64 of image ids) —
     # raw sequential ints alias in the fingerprint derivation
@@ -197,12 +209,12 @@ def test_empty_admit_clears_top_host_like_resume():
 
     sched = ShardScheduler(0, 1)
     url = "http://hot.example.com/a"
-    sched.admit([{"url": url, "url_hash": int(hash64([url])[0]),
-                  "host": "hot.example.com", "tried": 0, "gen": 0}])
+    sched.admit(_wave([{"url": url, "url_hash": int(hash64([url])[0]),
+                        "host": "hot.example.com", "tried": 0, "gen": 0}]))
     assert (sched.last_top_host, sched.last_top_host_n) == ("hot.example.com", 1)
     resumed = ShardScheduler.from_state_dict(sched.state_dict())
-    sched.admit([])
-    resumed.admit([])
+    sched.admit(_wave([]))
+    resumed.admit(_wave([]))
     assert (sched.last_top_host, sched.last_top_host_n) == ("", 0)
     assert (resumed.last_top_host, resumed.last_top_host_n) == ("", 0)
 
@@ -219,11 +231,11 @@ def test_checkpoint_size_independent_of_seen_count():
         sched = ShardScheduler(0, 1)
         urls = [f"http://h{i % 50}.com/p{i}" for i in range(n)]
         hashes = hash64(urls)
-        sched.admit([
+        sched.admit(_wave([
             {"url": u, "url_hash": int(h), "host": u.split("/")[2],
              "tried": 0, "gen": 0}
             for u, h in zip(urls, hashes)
-        ])
+        ]))
         assert sched.seen.size == n
         return len(pickle.dumps(sched.state_dict()))
 
