@@ -61,8 +61,9 @@ def main(argv: list[str] | None = None) -> int:
     c.add_argument(
         "--parse-html", action="store_true",
         help="extract outlinks/images by PARSING the stored raw bodies "
-             "(kernels/domtext.extract_links) instead of the table "
-             "lookup; corpus must carry html_pages.parquet",
+             "(kernels/domtext.crawl_links, the anchor URLs and images "
+             "of extract_links) instead of the table lookup; corpus "
+             "must carry html_pages.parquet",
     )
 
     o = sub.add_parser("oracle", help="run the single-process golden crawler")

@@ -149,7 +149,7 @@ def load_corpus_shard(
         referenced = {
             u
             for r in pages.values()
-            for u, _ in domtext.extract_links(r["_html"], r["url"])["images"]
+            for u, _ in domtext.crawl_links(r["_html"], r["url"])[1]
         }
     else:
         referenced = {

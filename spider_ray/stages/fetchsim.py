@@ -8,6 +8,9 @@ Semantics reimplemented (not ported) from the reference:
 * retry rule: HTTP 200/404 are terminal; 5xx / network error retried with a
   proxy flip up to ``MAX_RETRY`` = 2 (``fetch_result_handler.cc:67-88``,
   ``crawler.cfg max_retry_times``);
+* parse mode (M8 over bytes): outlinks and image refs come from
+  ``kernels/domtext.crawl_links`` over the page's stored HTML, table mode
+  reads them from the web_graph row;
 * outlink emission policy M9 (``resource_saver.cc:170-259``): only pages with
   ≥ ``MIN_OUTLINK`` distinct outlinks and path depth ≤ 2 emit new links;
 * image pipeline: decode fetched bytes, verify (w, h, fmt), recompress to
@@ -21,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# the module, not the function: a wrapper installed on
-# domtext.extract_links (perfbench's layer trace) must see the calls
+# the module, not the function: a wrapper installed on a domtext function
+# (a layer trace) must see the calls
 from spider_ray.kernels import domtext
 from spider_ray.kernels.imaging import decode_image, encode_image, phash64
 from spider_ray.state.proxy import pick_proxy_pure
@@ -50,9 +53,10 @@ class WebIndex:
     image_members: set | None = None
     # opt-in parse mode: page rows carry raw HTML under "_html" and
     # fetch_one extracts outlinks/images by PARSING the bytes
-    # (kernels/domtext.extract_links — the reference's real M8) instead
-    # of reading the table columns. Byte-equal to table mode on corpora
-    # whose bodies are render_html() of the rows (pinned by test).
+    # (kernels/domtext.crawl_links: extract_links' anchor URLs and
+    # images, the reference's real M8) instead of reading the table
+    # columns. Byte-equal to table mode on corpora whose bodies are
+    # render_html() of the rows (pinned by test).
     parse_html: bool = False
 
     def has_image(self, image_id: str) -> bool:
@@ -118,22 +122,18 @@ def fetch_one(permit: FetchPermit, index: WebIndex) -> FetchResult:
     if index.parse_html:
         # real M8: parse the stored raw bytes (extraction only on
         # response 200, as the reference — css_fetcher_main.cc:160-164)
-        parsed = domtext.extract_links(row["_html"], effective)
-        outlink_pairs = parsed["anchors"]  # [(url, text)], deduped
-        image_pairs = parsed["images"]  # [(url, alt)], deduped
+        outlinks, image_pairs = domtext.crawl_links(row["_html"], effective)
     else:
-        outlink_pairs = [
-            (ol["url"], ol["anchor"]) for ol in (row["outlinks"] or [])
-        ]
+        outlinks = [ol["url"] for ol in (row["outlinks"] or [])]
         image_pairs = [
             (ref["image_id"], ref["alt"])
             for ref in (row["image_refs"] or [])
         ]
     if (
-        len(outlink_pairs) >= MIN_OUTLINK
+        len(outlinks) >= MIN_OUTLINK
         and _path_depth(effective) <= MAX_PATH_DEPTH_EXTRACT
     ):
-        for u, _anchor in outlink_pairs:
+        for u in outlinks:
             res.outlink_rows.append(
                 {
                     "url": u,

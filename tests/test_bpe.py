@@ -114,7 +114,7 @@ def test_bpe_segment_invariants(ray_session):
             lang=pl.col("lang"),
             w=pl.col("text").str.extract_all(tk.NONWS_PAT),
         )
-        .explode("w")
+        .explode("w", empty_as_null=True)
         .drop_nulls()
         .select(
             "lang", unmerged=pl.col("w").str.len_chars() + 1

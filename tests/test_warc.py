@@ -98,7 +98,7 @@ def test_warc_ingest_matches_table(ray_session):
     )
     want = (
         wg.filter(pl.col("status_code") == 200)
-        .explode("outlinks")
+        .explode("outlinks", empty_as_null=True)
         .drop_nulls("outlinks")
         .select(
             "url",

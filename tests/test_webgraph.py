@@ -225,7 +225,7 @@ def test_anchor_text_matches_bruteforce(ray_session, graph_corpus):
         )
     )
     e = (
-        raw.explode("outlinks")
+        raw.explode("outlinks", empty_as_null=True)
         .drop_nulls("outlinks")
         .select(
             src_host=pl.col("host"),
@@ -278,7 +278,7 @@ def test_host_graph_matches_bruteforce(ray_session, graph_corpus):
         )
     )
     e = (
-        raw.explode("outlinks")
+        raw.explode("outlinks", empty_as_null=True)
         .drop_nulls("outlinks")
         .select(
             src_host=pl.col("host"),
