@@ -9,6 +9,7 @@ metrics (FIXTURES.md §8).
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -35,32 +36,64 @@ from spider_ray.state.scheduler import ShardScheduler
 MAX_GENS = 8
 
 
-def load_corpus(corpus_dir: str, parse_html: bool = False) -> dict:
-    t = {
-        name: pq.read_table(f"{corpus_dir}/{name}.parquet")
-        for name in ("web_graph", "robots", "host_load", "frontier_seed")
+def _per_row(col: pa.ChunkedArray, items: list) -> list[list]:
+    """The flattened ``items`` of list column ``col`` split back into its
+    rows; a null list reads as empty."""
+    ends = np.cumsum(
+        pc.fill_null(pc.list_value_length(col), 0).to_numpy()
+    ).tolist()
+    return [items[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _page_rows(t: pa.Table) -> list[dict]:
+    """``web_graph`` rows as the page dicts ``WebIndex`` holds: scalar
+    columns as they are, ``outlinks`` as the list of their URLs and
+    ``image_refs`` as ``(image_id, alt)`` pairs, the fields ``fetch_one``
+    reads. Built column by column: the rows' ``to_pylist`` makes one dict
+    per link, most of a corpus load."""
+    cols = {}
+    for name in t.column_names:
+        if name == "outlinks":
+            links = pc.list_flatten(t[name])
+            cols[name] = _per_row(
+                t[name], pc.struct_field(links, "url").to_pylist()
+            )
+        elif name == "image_refs":
+            refs = pc.list_flatten(t[name])
+            cols[name] = _per_row(t[name], list(zip(
+                pc.struct_field(refs, "image_id").to_pylist(),
+                pc.struct_field(refs, "alt").to_pylist(),
+            )))
+        else:
+            cols[name] = t[name].to_pylist()
+    return [dict(zip(cols, vals)) for vals in zip(*cols.values())]
+
+
+def load_web(corpus_dir: str, parse_html: bool = False) -> dict:
+    """The whole simulated web, as a full ``WebIndex`` holds it: page rows
+    by URL (``_page_rows``) and image rows by id."""
+    pages = {
+        r["url"]: r
+        for r in _page_rows(pq.read_table(f"{corpus_dir}/web_graph.parquet"))
     }
-    # the image store goes through the Lance seam (format-blind read)
-    t["images"] = lance_io.read_images_table(
-        lance_io.resolve_images(f"{corpus_dir}/images")
-    )
-    pages = {r["url"]: r for r in t["web_graph"].to_pylist()}
     if parse_html:
         _attach_html_bodies(corpus_dir, pages)
-    images = {r["image_id"]: r for r in t["images"].to_pylist()}
-    robots = {
-        r["host"]: parse_robots(r["body"]) for r in t["robots"].to_pylist()
-    }
-    load_rows = [
-        (r["key"], r["max_connections"], r["max_qps"], r["window"])
-        for r in t["host_load"].to_pylist()
-    ]
+    # the image store goes through the Lance seam (format-blind read)
+    images = lance_io.read_images_table(
+        lance_io.resolve_images(f"{corpus_dir}/images")
+    )
     return {
         "pages": pages,
-        "images": images,
-        "robots": robots,
-        "load_rows": load_rows,
-        "seeds": t["frontier_seed"],
+        "images": {r["image_id"]: r for r in images.to_pylist()},
+    }
+
+
+def load_corpus(corpus_dir: str, parse_html: bool = False) -> dict:
+    """The simulated web (``load_web``) plus the control tables
+    (``load_corpus_control``)."""
+    return {
+        **load_web(corpus_dir, parse_html),
+        **load_corpus_control(corpus_dir),
     }
 
 
@@ -114,9 +147,6 @@ def load_corpus_shard(
     STREAMS the parquet files batch-wise so even the transient peak is
     O(slice + one batch), never O(corpus): two passes over web_graph
     (slice rows, then ghost rows) and one over the image store."""
-    import numpy as np
-    import pyarrow.compute as pc
-
     wg_path = f"{corpus_dir}/web_graph.parquet"
     pages: dict[str, dict] = {}
     for b in pq.ParquetFile(wg_path).iter_batches(batch_size=16384):
@@ -126,7 +156,7 @@ def load_corpus_shard(
             hash64(urls) % np.uint64(num_owners)
         ).astype(np.int64) == owner
         if own.any():
-            for r in t.filter(pa.array(own)).to_pylist():
+            for r in _page_rows(t.filter(pa.array(own))):
                 pages[r["url"]] = r
     ghosts = {
         r["redirect_to"] for r in pages.values() if r.get("redirect_to")
@@ -137,7 +167,7 @@ def load_corpus_shard(
             t = pa.Table.from_batches([b])
             gmask = pc.is_in(t["url"], value_set=gset)
             if pc.any(gmask).as_py():
-                for r in t.filter(gmask).to_pylist():
+                for r in _page_rows(t.filter(gmask)):
                     pages[r["url"]] = r
 
     if parse_html:
@@ -153,9 +183,7 @@ def load_corpus_shard(
         }
     else:
         referenced = {
-            ref["image_id"]
-            for r in pages.values()
-            for ref in (r["image_refs"] or [])
+            iid for r in pages.values() for iid, _ in r["image_refs"]
         }
     images: dict[str, dict] = {}
     members: set[str] = set()

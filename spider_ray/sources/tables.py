@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import os
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
@@ -21,8 +22,16 @@ def read_table(
     columns: list[str] | None = None,
     **kwargs,
 ) -> ray.data.Dataset:
-    """Columnar-pruned parquet read of one named table."""
-    return ray.data.read_parquet(table_path(sf_dir, name), columns=columns, **kwargs)
+    """Columnar-pruned parquet read of one named table, read without its
+    schema metadata: a pandas-written file keeps a ``b"pandas"`` dict
+    there, which makes the blocks' ``pa.Schema`` unhashable, and Ray
+    Data's block concat then logs "Failed to hash the schemas" on every
+    read task."""
+    path = table_path(sf_dir, name)
+    schema = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return ray.data.read_parquet(path, columns=columns, schema=schema, **kwargs)
 
 
 def read_small(sf_dir: str, name: str, columns: list[str] | None = None):

@@ -42,7 +42,7 @@ class WebIndex:
     Built once per actor (``__init__``) from the web_graph / images tables —
     the T6-style warm state of the fetch stage."""
 
-    pages: dict[str, dict]  # url → row dict
+    pages: dict[str, dict]  # url → page row (oracle._page_rows)
     images: dict[str, dict]  # image_id → row dict
     lookups: int = 0
     # sharded actors (oracle.load_corpus_shard): the slice's image
@@ -124,11 +124,9 @@ def fetch_one(permit: FetchPermit, index: WebIndex) -> FetchResult:
         # response 200, as the reference — css_fetcher_main.cc:160-164)
         outlinks, image_pairs = domtext.crawl_links(row["_html"], effective)
     else:
-        outlinks = [ol["url"] for ol in (row["outlinks"] or [])]
-        image_pairs = [
-            (ref["image_id"], ref["alt"])
-            for ref in (row["image_refs"] or [])
-        ]
+        # the page row's outlink URLs and (image_id, alt) pairs
+        # (oracle._page_rows)
+        outlinks, image_pairs = row["outlinks"], row["image_refs"]
     if (
         len(outlinks) >= MIN_OUTLINK
         and _path_depth(effective) <= MAX_PATH_DEPTH_EXTRACT

@@ -3,8 +3,8 @@
 score → priority bands (O6/T4), shard assignment.
 
 One pure function over a pyarrow batch, used identically by the crawl's
-normalize task (``_normalize_split`` in ``pipelines/crawl.py``) and the
-single-process oracle — the parity seam from SURVEY §7.4.1. It works on
+shard actors (``ShardActor.normalize_split`` in ``pipelines/crawl.py``) and
+the single-process oracle — the parity seam from SURVEY §7.4.1. It works on
 columns: the per-URL kernels run once per distinct raw URL (a wave's
 candidates are mostly duplicates), per-row masks count the rejects, and
 Arrow ``take`` builds the accepted table.
