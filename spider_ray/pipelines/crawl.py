@@ -17,10 +17,12 @@ fetch → extract → frontier[g+1]):
    arguments, admits the rows in ``seq`` order against the shard's
    cuckoo filter (on the Arrow columns; only the admitted rows become
    Python dicts) and runs the politeness DES; it returns three refs — the
-   shard's stats, its timed fetch permits and its new seen rows (Arrow
-   tables), and the driver writes the seen rows as the ``seen`` sink;
-3. permits → sort by the global crawl-order key → permit chunks; the driver
-   splits each chunk by owner (``hash64(url) % pool``) and sends each
+   shard's stats, its timed fetch permits sorted by the crawl-order key
+   ``SORT_KEYS`` and its new seen rows (Arrow tables), and the driver
+   writes the seen rows as the ``seen`` sink;
+3. the driver merges the shards' sorted permit runs into global crawl
+   order, ``PERMIT_CHUNK`` rows at a time (``_merge_runs``), splits each
+   chunk by owner (``hash64(url) % pool``) and sends each
    ``FetchWorker`` that holds a warm WebIndex slice one ``fetch_derive``
    call with its rows, tagged with their position in the chunk;
 4. that call fetches (fetch-sim; HTML link extraction in parse mode), runs
@@ -40,25 +42,24 @@ fetch → extract → frontier[g+1]):
 Driver round trips per generation: one ``normalize_split`` call per
 candidate block and one ``ray.wait`` over their parts, one
 ``schedule_wave`` per shard (one ``ray.get`` over the stats and seen refs),
-one small-wave permit ``ray.get``, then per permit chunk of
+one ``ray.get`` of the shards' permit runs, then per permit chunk of
 ``PERMIT_CHUNK`` rows one ``fetch_derive`` call per owner, one
 ``admit_images`` call per shard, one ``process_refs_pos`` call per owner
 and one ``ray.get`` in each sink; last, one batched ``ray.get`` of the
 shard ``state_dict`` blobs. The next wave's start clock is the max of the
 ``clock`` values ``schedule_wave`` returned. Every call goes to an actor
-of the fleet, so a crawl below ``DS_SORT_THRESHOLD`` runs no Ray task and
-starts no task-worker process.
+of the fleet, so a generation runs no Ray task and no Ray Data execution,
+at any wave size.
 
 The wave flows by OBJECT-STORE BLOCK REFS end to end: candidates enter as
-block refs, permits come back from the shard actors as per-shard Arrow table
-refs, big waves sort distributed (ray.data over those refs), fetched blocks
-never leave the fetch actors, and every sink (status / images /
-next-candidates / seen) streams one permit chunk's small derived tables at
-a time through a ParquetWriter — driver RSS is bounded by a few blocks
-regardless of wave or frontier size.
-Small waves (≤ DS_SORT_THRESHOLD permits) take a driver-side shortcut for the
-permit sort only; both paths produce byte-identical output
-(test_distributed_sort_path_identical forces the refs path).
+block refs, permits come back from the shard actors as per-shard sorted
+Arrow table refs, fetched blocks never leave the fetch actors, and every
+sink (status / images / next-candidates / seen) streams one permit chunk's
+small derived tables at a time through a ParquetWriter. The permit merge
+copies at most ``num_shards`` × ``PERMIT_CHUNK`` rows per step, so driver
+RSS is bounded by a few blocks regardless of wave or frontier size. Only
+the final seen sort switches to a distributed ``ds.sort`` past
+``DS_SORT_THRESHOLD`` rows.
 
 Fleet lifecycle: a Ray session keeps ONE warm fleet of shard and fetch
 actors across ``run_crawl`` calls, because starting an actor process
@@ -88,11 +89,13 @@ import time
 import numpy as np
 import polars as pl
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
 from spider_ray.kernels.hashing import hash64
 from spider_ray.pipelines.oracle import (
+    MAX_GENS,
     augment_seeds,
     load_corpus_control,
     load_corpus_shard,
@@ -102,8 +105,6 @@ from spider_ray.stages.fetchsim import WebIndex, fetch_one, process_image
 from spider_ray.stages.normalize import NORM_KEYS, normalize_batch, shard_meta
 from spider_ray.state.load_controller import LoadOptions, apply_crawl_delays
 from spider_ray.state.scheduler import SEEN_SCHEMA, FetchPermit, ShardScheduler
-
-MAX_GENS = 8
 
 
 def _driver_rss_kb() -> int:
@@ -130,6 +131,10 @@ PERMIT_SCHEMA = pa.schema(
         ("referer", pa.string()),
     ]
 )
+
+# the global crawl order of a wave's permits
+SORT_KEYS = [("fetch_ts", "ascending"), ("priority", "ascending"),
+             ("gen", "ascending"), ("seq", "ascending"), ("host", "ascending")]
 
 # a fetch-actor output row's position in the driver's permit chunk (or
 # kept-ref list): the key the driver merges the owners' parts on
@@ -207,9 +212,9 @@ class ShardActor:
         """Admit this shard's part of every candidate block (one table per
         ``normalize_split`` call, whichever shard actor made it) and run
         the politeness DES. Returns (stats, this shard's permits as one
-        Arrow table, the wave's new seen rows as a ``SEEN_SCHEMA`` table):
-        the driver ``ray.get``s the stats and seen refs and hands the
-        permit ref straight to the permit sort / fetch stage."""
+        Arrow table sorted by ``SORT_KEYS``, the wave's new seen rows as a
+        ``SEEN_SCHEMA`` table): the driver ``ray.get``s the stats and seen
+        refs and merges the shards' permit runs (``_merge_runs``)."""
         # admit works on the seq-sorted columns; only its accepted rows
         # become the dicts the DES consumes
         wave = pa.concat_tables(tables).sort_by("seq")
@@ -235,9 +240,11 @@ class ShardActor:
                 self.sched.seen_add_failures + self.sched.image_add_failures
             ),
         }
+        # run_wave emits crawl order already; the driver's merge must not
+        # rest on that
         return stats, pa.Table.from_pylist(
             [p.__dict__ for p in permits], schema=PERMIT_SCHEMA
-        ), seen_t
+        ).sort_by(SORT_KEYS), seen_t
 
     def admit_images(self, hashes: np.ndarray) -> np.ndarray:
         return self.sched.admit_images(hashes)
@@ -607,14 +614,6 @@ def _with_seq(t: pa.Table) -> pa.Table:
     return t.append_column("seq", pa.array(np.arange(t.num_rows), pa.int64()))
 
 
-def _chunks(t: pa.Table, rows_per_chunk: int) -> list[pa.Table]:
-    if t.num_rows <= rows_per_chunk:
-        return [t]
-    return [
-        t.slice(i, rows_per_chunk) for i in range(0, t.num_rows, rows_per_chunk)
-    ]
-
-
 CANDIDATE_SCHEMA = pa.schema(
     [
         ("url", pa.string()),
@@ -626,14 +625,15 @@ CANDIDATE_SCHEMA = pa.schema(
 )
 
 # driver wall time of each numbered step of a generation, in metrics.parquet:
-# 1 normalize+route, 2 schedule, 3-4a permit sort + fetch + derive + status
-# sink, 4b image admit+process, 4c next candidates, 5 checkpoint
+# 1 normalize+route, 2 schedule, 3-4a permit merge + fetch + derive + status
+# sink, 4b image admit+process, 4c next candidates, 5 checkpoint. The first
+# generation's route_s also waits for newly spawned shard actors to start
+# (~2 s in a one-shot crawl on 4 CPUs, against ~0.07 s warm): it is not
+# all normalize time.
 PHASE_COLUMNS = ("route_s", "schedule_s", "fetch_s", "images_s",
                  "candidates_s", "checkpoint_s")
 
-SORT_KEYS = [("fetch_ts", "ascending"), ("priority", "ascending"),
-             ("gen", "ascending"), ("seq", "ascending"), ("host", "ascending")]
-DS_SORT_THRESHOLD = 200_000  # permits above this use a distributed ds.sort
+DS_SORT_THRESHOLD = 200_000  # seen rows above this use a distributed ds.sort
 
 
 SINK_ROLL_BYTES = 128 << 20  # roll per-gen sink files past ~128 MB
@@ -812,16 +812,31 @@ def _by_owner(hashes: np.ndarray, pool_size: int):
         yield int(o), np.flatnonzero(owners == o)
 
 
+def _merge_runs(runs: list[pa.Table], chunk: int):
+    """Merge tables each sorted by ``SORT_KEYS`` into one stream in
+    ``SORT_KEYS`` order: the rows of ``pa.concat_tables(runs).sort_by(
+    SORT_KEYS)`` (a stable sort, so full-key ties keep run order), yielded
+    as tables of 1 to ``chunk`` rows. The next ``chunk`` rows of the merge
+    lie among each run's next ``chunk`` rows, so each step sorts only those
+    heads and advances each run by the rows it gave."""
+    runs = [r for r in runs if r.num_rows]
+    while runs:
+        heads = pa.concat_tables([r.slice(0, chunk) for r in runs])
+        idx = pc.sort_indices(heads, sort_keys=SORT_KEYS)[:chunk].to_numpy()
+        run_of = np.repeat(
+            np.arange(len(runs)), [min(r.num_rows, chunk) for r in runs]
+        )
+        used = np.bincount(run_of[idx], minlength=len(runs))
+        yield heads.take(idx)
+        runs = [r.slice(n) for r, n in zip(runs, used) if r.num_rows > n]
+
+
 def _dispatch_fetch(pool: list, handler, blocks) -> list[list]:
-    """Send each sorted permit block's rows to the fetch actors that own
-    them, tagged with their position in the block: one ``fetch_derive``
-    call per owner. Returns, per block, its calls (four refs each). An
-    empty block (range-partition sorts emit them under key concentration)
-    makes no call and no entry."""
+    """Send each permit chunk's rows to the fetch actors that own them,
+    tagged with their position in the chunk: one ``fetch_derive`` call per
+    owner. Returns, per chunk, its calls (four refs each)."""
     calls = []
     for b in blocks:
-        if b.num_rows == 0:
-            continue
         b = b.append_column(POS, pa.array(np.arange(b.num_rows), pa.int64()))
         calls.append([
             pool[o].fetch_derive.remote(handler, b.take(ix))
@@ -1022,7 +1037,9 @@ def run_crawl(
         def _as_blocks(t: pa.Table) -> tuple[list, int]:
             """Chunk a candidate table into object-store block refs — from here
             on the wave flows by refs."""
-            return [ray.put(ch) for ch in _chunks(t, 4096)], t.num_rows
+            return [
+                ray.put(t.slice(i, 4096)) for i in range(0, t.num_rows, 4096)
+            ], t.num_rows
 
         start_gen = 0
         cand_blocks, cand_count = _as_blocks(_with_seq(_seeds_candidates(c["seeds"])))
@@ -1143,29 +1160,10 @@ def run_crawl(
                 seen_writer.write(t)
             seen_writer.close(SEEN_SCHEMA)
             marks.append(time.perf_counter())
-            n_permits = sum(r["scheduled"] for r in wave_res)
 
-            # 3. permits → global crawl-order sort → fetch pool. Small waves pull
-            # the bounded permit tables and sort with the arrow kernel; waves
-            # past DS_SORT_THRESHOLD sort distributed (ray.data over the refs)
-            # and the driver pulls one sorted block at a time to route it.
-            # SORT_KEYS is a total order, so both paths yield the identical
-            # global row sequence (asserted by
-            # test_distributed_sort_path_identical).
-            if n_permits <= DS_SORT_THRESHOLD:
-                fetch_in = _chunks(
-                    pa.concat_tables(
-                        ray.get(permit_refs), promote_options="default"
-                    ).sort_by(SORT_KEYS),
-                    PERMIT_CHUNK,
-                )
-            else:
-                sorted_ds = ray.data.from_arrow_refs(permit_refs).sort(
-                    [k for k, _ in SORT_KEYS]
-                )
-                fetch_in = (
-                    ray.get(r) for r in sorted_ds.materialize().to_arrow_refs()
-                )
+            # 3. the shards' sorted permit runs → one global crawl-order
+            # stream of permit chunks, merged on the driver at any wave size
+            fetch_in = _merge_runs(ray.get(permit_refs), PERMIT_CHUNK)
 
             # 4. one fetch_derive call per owner per chunk (result handler
             # and derivations in the fetch actor), submitted up front and

@@ -202,9 +202,10 @@ def test_resume_no_refetch(corpus, oracle_out, ray_session):
 
 
 def test_distributed_sort_path_identical(corpus, oracle_out, ray_session, monkeypatch):
-    """Force every wave through the distributed ds.sort path (threshold 1)
-    and require byte-identical outputs to the oracle — proving the scale
-    path and the small-wave path implement the same ordering contract."""
+    """Force the final seen sort through its distributed ds.sort path
+    (threshold 1; permits take the one merge path at every size) and
+    require byte-identical outputs to the oracle — proving the scale path
+    and the small-set path implement the same ordering contract."""
     import spider_ray.pipelines.crawl as C
 
     monkeypatch.setattr(C, "DS_SORT_THRESHOLD", 1)
@@ -423,13 +424,15 @@ def test_dynamic_control_stop_and_resume(corpus, oracle_out, ray_session):
 
 
 def test_refs_mode_resume_parity(corpus, oracle_out, ray_session, monkeypatch):
-    """Resume THROUGH the forced block-ref path (threshold 1): interrupt
-    after 2 generations, resume, and require the combined streamed sinks to
-    match the oracle byte-for-byte — proving the refs-mode writers and the
+    """Resume through multi-chunk merged waves (7-row permit chunks) and
+    the distributed seen sort (threshold 1): interrupt after 2
+    generations, resume, and require the combined streamed sinks to match
+    the oracle byte-for-byte — proving the chunked writers and the
     checkpoint/rehydrate seam compose."""
     import spider_ray.pipelines.crawl as C
 
     monkeypatch.setattr(C, "DS_SORT_THRESHOLD", 1)
+    monkeypatch.setattr(C, "PERMIT_CHUNK", 7)  # several chunks per gen
     out = "/tmp/spider_ray_test_refs_resume"
     shutil.rmtree(out, ignore_errors=True)
     C.run_crawl(corpus, out, num_shards=2, fetch_concurrency=2, max_gens=2)
@@ -469,7 +472,8 @@ def test_rolling_sinks_roll_and_reassemble(corpus, oracle_out, ray_session,
     assert t["a"].to_pylist() == [0] * 100 + [1] * 100 + [2] * 100
 
     monkeypatch.setattr(C, "SINK_ROLL_BYTES", 1024)  # ~1 KB → many parts
-    monkeypatch.setattr(C, "DS_SORT_THRESHOLD", 1)  # refs mode: >1 block/gen
+    monkeypatch.setattr(C, "DS_SORT_THRESHOLD", 1)
+    monkeypatch.setattr(C, "PERMIT_CHUNK", 7)  # several chunks per gen
     out = "/tmp/spider_ray_test_rolling"
     shutil.rmtree(out, ignore_errors=True)
     C.run_crawl(corpus, out, num_shards=2, fetch_concurrency=2)
@@ -667,14 +671,15 @@ def test_gc_checkpoints_then_resume(corpus, oracle_out, ray_session):
 
 
 def test_hot_host_refs_mode_parity(corpus, ray_session, monkeypatch):
-    """Hot-host isolation × forced distributed-sort refs mode — the
-    combination that produces empty sorted blocks (the dedicated shard
-    carries most of the wave) and exercised the round-4 empty-window
-    dispatch guard. Crawl order and totals must equal the oracle's."""
+    """Hot-host isolation × multi-chunk merged waves (7-row permit
+    chunks): the dedicated shard's run carries most of the wave, so most
+    merge steps take nearly all their rows from one run. Crawl order and
+    totals must equal the oracle's."""
     import spider_ray.pipelines.crawl as C
 
     hot = "bigfamily.example.com"
     monkeypatch.setattr(C, "DS_SORT_THRESHOLD", 1)
+    monkeypatch.setattr(C, "PERMIT_CHUNK", 7)  # several chunks per gen
     out = "/tmp/spider_ray_test_hot_refs"
     shutil.rmtree(out, ignore_errors=True)
     res = C.run_crawl(corpus, out, num_shards=3, fetch_concurrency=3,

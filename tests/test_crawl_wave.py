@@ -61,21 +61,27 @@ def _crawl_order(rows: list[dict]) -> list[tuple]:
 
 def test_crawl_wave_runs_no_ray_data(corpus, oracle_out, ray_session,  # noqa: F811
                                      monkeypatch):
-    """Below DS_SORT_THRESHOLD a crawl starts no Ray Data execution: every
-    generation normalizes and routes its candidates on the shard actors."""
+    """No generation starts a Ray Data execution, at any wave size: the
+    shard actors normalize and route each wave, and the driver merges the
+    shards' sorted permit runs. The second crawl forces DS_SORT_THRESHOLD
+    to 1 (only the final seen sort reads it) and 7-row permit chunks."""
     import ray.data
 
-    from spider_ray.pipelines.crawl import run_crawl
+    import spider_ray.pipelines.crawl as C
 
     def _no_ray_data(*args, **kwargs):
         raise AssertionError("the crawl wave started a Ray Data execution")
 
     monkeypatch.setattr(ray.data, "from_arrow_refs", _no_ray_data)
-    shutil.rmtree(OUT_W, ignore_errors=True)
-    run_crawl(corpus, OUT_W, num_shards=2, fetch_concurrency=2)
-    assert _crawl_order(_engine_rows(OUT_W, "status.parquet")) == (
-        _crawl_order(oracle_out["crawl_order"])
-    )
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(C, "DS_SORT_THRESHOLD", 1)
+            monkeypatch.setattr(C, "PERMIT_CHUNK", 7)
+        shutil.rmtree(OUT_W, ignore_errors=True)
+        C.run_crawl(corpus, OUT_W, num_shards=2, fetch_concurrency=2)
+        assert _crawl_order(_engine_rows(OUT_W, "status.parquet")) == (
+            _crawl_order(oracle_out["crawl_order"])
+        )
     shutil.rmtree(OUT_W, ignore_errors=True)
 
 

@@ -59,7 +59,7 @@ def test_crawl_parity_across_seeds(ray_session, seed, n_pages, n_hosts):
 
 def test_crawl_parity_wide_topology(ray_session):
     # more shards than hosts-per-shard would suggest, wider fetch pool —
-    # the permit sort + block-size-invariant admit seams must still yield
+    # the permit merge + block-size-invariant admit seams must still yield
     # the oracle's exact sequence
     _parity_case(
         "wide",

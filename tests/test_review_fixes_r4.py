@@ -223,10 +223,10 @@ def test_sharded_webindex_slices_and_fetch_parity(ray_session):
 
 
 def test_fetch_dispatch_empty_blocks(ray_session):
-    """A sorted permit stream with empty blocks in it (range-partition
-    sorts emit them under key concentration) routes to the owning fetch
-    actors and merges back into schema'd outputs in stream order: the same
-    rows a single full-index actor fetches from the non-empty rows."""
+    """Shard permit runs with empty ones among them (a shard that no
+    candidate routes to) merge into non-empty permit chunks that route to
+    the owning fetch actors and merge back into schema'd outputs in crawl
+    order: the same rows a single full-index actor fetches."""
     import pyarrow as pa
 
     import spider_ray.pipelines.crawl as C
@@ -258,12 +258,13 @@ def test_fetch_dispatch_empty_blocks(ray_session):
     pool = [C.FetchActorCls.remote(corpus, i, 2) for i in range(2)]
     full = C.FetchActorCls.remote(corpus)
     try:
-        assert C._dispatch_fetch(pool, None, [empty, empty]) == []
-        calls = C._dispatch_fetch(
-            pool, None,
-            [empty, permits.slice(0, 25), empty, empty, permits.slice(25)],
-        )
-        assert len(calls) == 2
+        assert C._dispatch_fetch(
+            pool, None, C._merge_runs([empty, empty], 25)
+        ) == []
+        runs = [empty, permits.take(list(range(0, n, 2))), empty,
+                permits.take(list(range(1, n, 2)))]
+        calls = C._dispatch_fetch(pool, None, C._merge_runs(runs, 25))
+        assert len(calls) == 3
         status, imrefs, retries, outlinks = (
             list(C._pull_merged([[c[k] for c in cs] for cs in calls]))
             for k in range(4)
