@@ -17,6 +17,10 @@ PIL is not available in this environment, so:
   ≈ 46.9 dB) invariant path is exercised with real math. A production build
   would swap in libjpeg behind the same interface; the Ray-side plumbing
   (schema, batch sizes, actor signature) is identical.
+
+Both decoders raise ``ValueError`` on malformed input and reject a header
+that claims more than ``MAX_SAMPLES`` decoded samples before inflating
+anything, so a hostile image costs bounded time and memory.
 """
 
 from __future__ import annotations
@@ -65,72 +69,122 @@ def png_encode(img: np.ndarray) -> bytes:
     )
 
 
+def _inflate(data: bytes, size: int) -> bytes:
+    """The ``size`` bytes a complete zlib stream holds. Inflates at most
+    ``size + 1`` bytes, so a stream that claims less than it holds costs no
+    more than the header allows; a bad, short, long or truncated stream
+    raises ``ValueError``."""
+    d = zlib.decompressobj()
+    try:
+        out = d.decompress(data, size + 1)
+    except zlib.error as e:
+        raise ValueError(f"bad zlib stream: {e}") from None
+    if len(out) != size or not d.eof:
+        raise ValueError(f"zlib stream does not hold the header's {size} bytes")
+    return out
+
+
+# decoded samples (w x h x channels) one image may claim: a header past it
+# is rejected before any inflation, which bounds a hostile image's memory
+# and the Average/Paeth row loops' time
+MAX_SAMPLES = 1 << 22
+
+
+def _check_dims(w: int, h: int, ch: int) -> None:
+    if w == 0 or h == 0 or ch == 0:
+        raise ValueError(f"empty image {w}x{h}x{ch}")
+    if w * h * ch > MAX_SAMPLES:
+        raise ValueError(f"image {w}x{h}x{ch} exceeds {MAX_SAMPLES} samples")
+
+
+def _average_row(cur: list, prev: list, ch: int) -> list:
+    for x in range(ch):
+        cur[x] = (cur[x] + (prev[x] >> 1)) & 0xFF
+    for x in range(ch, len(cur)):
+        cur[x] = (cur[x] + ((cur[x - ch] + prev[x]) >> 1)) & 0xFF
+    return cur
+
+
+def _paeth_row(cur: list, prev: list, ch: int) -> list:
+    for x in range(ch):  # a = c = 0: the predictor is b
+        cur[x] = (cur[x] + prev[x]) & 0xFF
+    for x in range(ch, len(cur)):
+        a, b, c = cur[x - ch], prev[x], prev[x - ch]
+        p = a + b - c
+        pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+        pr = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
+        cur[x] = (cur[x] + pr) & 0xFF
+    return cur
+
+
 def _unfilter(raw: np.ndarray, h: int, w: int, ch: int) -> np.ndarray:
-    """Reverse PNG scanline filters (types 0-4)."""
+    """Reverse PNG scanline filters (types 0-4). Rows that are all filter 0
+    (what ``png_encode`` writes) are one slice; Sub is a per-channel
+    wrapping ``uint8`` cumsum and Up a wrapping add; Average and Paeth
+    depend on the previous output sample and stay per-row loops, bounded
+    by ``MAX_SAMPLES``."""
     stride = w * ch
     rows = raw.reshape(h, 1 + stride)
-    out = np.zeros((h, stride), dtype=np.uint8)
+    ftypes = rows[:, 0]
+    if not ftypes.any():
+        return rows[:, 1:].copy()
+    if (ftypes > 4).any():
+        raise ValueError(f"bad filter {int(ftypes.max())}")
+    out = np.empty((h, stride), dtype=np.uint8)
+    prev = np.zeros(stride, dtype=np.uint8)
     for y in range(h):
-        ftype = rows[y, 0]
-        line = rows[y, 1:].astype(np.int32)
-        prev = out[y - 1].astype(np.int32) if y > 0 else np.zeros(stride, np.int32)
+        ftype, line = ftypes[y], rows[y, 1:]
         if ftype == 0:
-            cur = line
+            out[y] = line
         elif ftype == 1:  # Sub
-            cur = line.copy()
-            for x in range(ch, stride):
-                cur[x] = (cur[x] + cur[x - ch]) & 0xFF
+            out[y] = np.cumsum(
+                line.reshape(w, ch), axis=0, dtype=np.uint8
+            ).reshape(stride)
         elif ftype == 2:  # Up
-            cur = (line + prev) & 0xFF
+            out[y] = line + prev
         elif ftype == 3:  # Average
-            cur = line.copy()
-            for x in range(stride):
-                a = cur[x - ch] if x >= ch else 0
-                cur[x] = (cur[x] + ((a + prev[x]) >> 1)) & 0xFF
-        elif ftype == 4:  # Paeth
-            cur = line.copy()
-            for x in range(stride):
-                a = cur[x - ch] if x >= ch else 0
-                b = prev[x]
-                c = prev[x - ch] if x >= ch else 0
-                p = a + b - c
-                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                pr = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
-                cur[x] = (cur[x] + pr) & 0xFF
-        else:
-            raise ValueError(f"bad filter {ftype}")
-        out[y] = cur.astype(np.uint8)
+            out[y] = _average_row(line.tolist(), prev.tolist(), ch)
+        else:  # Paeth
+            out[y] = _paeth_row(line.tolist(), prev.tolist(), ch)
+        prev = out[y]
     return out
 
 
 def png_decode(data: bytes) -> np.ndarray:
     """Decode a PNG produced by any encoder using 8-bit gray/RGB/RGBA,
-    no interlace, no palette."""
+    no interlace, no palette. Malformed input — a short chunk, no IHDR, an
+    image past ``MAX_SAMPLES``, an IDAT stream of the wrong size, an unknown
+    filter — raises ``ValueError``."""
     if data[:8] != _PNG_SIG:
         raise ValueError("not a PNG")
     pos = 8
-    w = h = None
-    color_type = None
-    idat = b""
-    while pos < len(data):
-        (length,) = struct.unpack(">I", data[pos : pos + 4])
-        tag = data[pos + 4 : pos + 8]
+    ihdr = None
+    idat = []
+    while pos + 8 <= len(data):
+        length, tag = struct.unpack(">I4s", data[pos : pos + 8])
         body = data[pos + 8 : pos + 8 + length]
+        if len(body) != length:
+            raise ValueError(f"truncated PNG chunk {tag!r}")
         pos += 12 + length
         if tag == b"IHDR":
-            w, h, bitd, color_type, comp, filt, interlace = struct.unpack(
-                ">IIBBBBB", body
-            )
-            if bitd != 8 or interlace != 0 or color_type not in (0, 2, 6):
-                raise ValueError("unsupported PNG variant")
+            if length != 13:
+                raise ValueError("bad IHDR")
+            ihdr = struct.unpack(">IIBBBBB", body)
         elif tag == b"IDAT":
-            idat += body
+            idat.append(body)
         elif tag == b"IEND":
             break
+    if ihdr is None:
+        raise ValueError("PNG without IHDR")
+    w, h, bitd, color_type, comp, filt, interlace = ihdr
+    if bitd != 8 or interlace != 0 or color_type not in (0, 2, 6):
+        raise ValueError("unsupported PNG variant")
     ch = {0: 1, 2: 3, 6: 4}[color_type]
-    raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8)
-    out = _unfilter(raw, h, w, ch)
-    img = out.reshape(h, w, ch)
+    _check_dims(w, h, ch)
+    raw = np.frombuffer(
+        _inflate(b"".join(idat), h * (1 + w * ch)), dtype=np.uint8
+    )
+    img = _unfilter(raw, h, w, ch).reshape(h, w, ch)
     return img[:, :, 0] if ch == 1 else img
 
 
@@ -152,10 +206,15 @@ def qimg_encode(img: np.ndarray) -> bytes:
 
 
 def qimg_decode(data: bytes) -> np.ndarray:
-    if data[:4] != _QIMG_MAGIC:
+    """Malformed input — a short header, an image past ``MAX_SAMPLES``, a
+    payload of the wrong size — raises ``ValueError``."""
+    if len(data) < 13 or data[:4] != _QIMG_MAGIC:
         raise ValueError("not a qimg")
     w, h, ch = struct.unpack(">IIB", data[4:13])
-    q = np.frombuffer(zlib.decompress(data[13:]), dtype=np.uint8).reshape(h, w, ch)
+    _check_dims(w, h, ch)
+    q = np.frombuffer(
+        _inflate(data[13:], w * h * ch), dtype=np.uint8
+    ).reshape(h, w, ch)
     shift = 8 - QIMG_BITS
     # dequantize to bin centers
     img = (q.astype(np.uint16) << shift) + (1 << (shift - 1))
@@ -218,25 +277,22 @@ _DCT_M = _dct_matrix(_DCT_N)
 
 def phash64(img: np.ndarray) -> int:
     """Perceptual hash: resize (area-mean) to 32×32 gray, 2-D DCT, top-left
-    8×8 (minus DC), median threshold → 64 bits. Fully vectorized: rows are
-    binned with np.add.at on index grids (no Python pixel loops)."""
+    8×8 (minus DC), median threshold → 64 bits. Fully vectorized: pixels
+    are binned with np.bincount on an index grid (which sums each bin in
+    pixel order, as np.add.at did) and the 63 bits packed with np.packbits."""
     g = _gray(img)
     h, w = g.shape
     yi = (np.arange(h) * _DCT_N // max(h, 1)).clip(0, _DCT_N - 1)
     xi = (np.arange(w) * _DCT_N // max(w, 1)).clip(0, _DCT_N - 1)
-    sums = np.zeros((_DCT_N, _DCT_N))
-    cnts = np.zeros((_DCT_N, _DCT_N))
     flat_idx = (yi[:, None] * _DCT_N + xi[None, :]).ravel()
-    np.add.at(sums.ravel(), flat_idx, g.ravel())
-    np.add.at(cnts.ravel(), flat_idx, 1.0)
-    small = sums / np.maximum(cnts, 1.0)
+    n = _DCT_N * _DCT_N
+    sums = np.bincount(flat_idx, weights=g.ravel(), minlength=n)
+    cnts = np.bincount(flat_idx, minlength=n)
+    small = (sums / np.maximum(cnts, 1.0)).reshape(_DCT_N, _DCT_N)
     D = _DCT_M @ small @ _DCT_M.T
-    block = D[:8, :8].flatten()
-    vals = np.delete(block, 0)  # drop DC
-    med = np.median(vals)
-    bits = vals > med
-    out = 0
-    for i, b in enumerate(bits):
-        if b:
-            out |= 1 << i
-    return out
+    vals = D[:8, :8].ravel()[1:]  # drop DC
+    # the median of 63 values is the middle one, as np.median returns it
+    bits = vals > np.partition(vals, 31)[31]  # bit i is coefficient i + 1
+    return int.from_bytes(
+        np.packbits(bits, bitorder="little").tobytes(), "little"
+    )

@@ -30,26 +30,43 @@ fetch → extract → frontier[g+1]):
    and outlink candidates in the actor — the reference's crawler, too,
    hands a page to its in-process ``CrawlTaskHandler``. The driver merges
    the owners' parts back into crawl order by position while streaming
-   them into per-gen parquet sinks, admits image refs first-wins on the
-   shard actors and sends the kept ones to their owners'
-   ``process_refs_pos`` (decode/recompress/phash), merged the same way;
-5. checkpoint per (gen, shard): scheduler state pickle (fixed-size
+   them into per-gen parquet sinks: (a) the status rows, (b) the next
+   generation's candidates, which read only ``fetch_derive`` outputs, then
+   (c) the image refs, which it admits first-wins on the shard actors,
+   sending the kept ones to their owners' ``process_refs_pos``
+   (decode/recompress/phash), merged the same way. An image whose stored
+   bytes do not decode is skipped and counted (``images_failed``);
+5. right after the generation's last ``admit_images`` calls the driver
+   submits each shard's ``state_dict``, then the next generation's steps 1
+   and 2 (``_submit_wave``) if that generation would start at once: a
+   non-empty frontier, below ``max_gens``, and ``control.json`` neither
+   pausing nor stopping it. Calls from one caller to an actor run in
+   submission order, so the state blobs hold exactly this generation's
+   mutations while the next generation routes and schedules on the shard
+   actors as this one's images, checkpoint and metrics finish (the
+   ``overlap_s`` window). The next generation reads those calls' refs only
+   after this one's ``_DONE``; a stop that arrives in the meantime drops
+   them;
+6. checkpoint per (gen, shard): scheduler state pickle (fixed-size
    filters and politeness state) + ``_DONE`` marker +
    metrics rows (counters, and the driver wall time of each step as the
    ``PHASE_COLUMNS``) → a killed run resumes at the last complete
    generation without re-fetching (fetch lookups are counted to prove it).
+   A kill inside the window leaves this generation without ``_DONE`` and
+   the next without a directory, so resume starts after the previous one.
 
 Driver round trips per generation: one ``normalize_split`` call per
-candidate block and one ``ray.wait`` over their parts, one
-``schedule_wave`` per shard (one ``ray.get`` over the stats and seen refs),
-one ``ray.get`` of the shards' permit runs, then per permit chunk of
-``PERMIT_CHUNK`` rows one ``fetch_derive`` call per owner, one
-``admit_images`` call per shard, one ``process_refs_pos`` call per owner
-and one ``ray.get`` in each sink; last, one batched ``ray.get`` of the
-shard ``state_dict`` blobs. The next wave's start clock is the max of the
-``clock`` values ``schedule_wave`` returned. Every call goes to an actor
-of the fleet, so a generation runs no Ray task and no Ray Data execution,
-at any wave size.
+candidate block and one ``schedule_wave`` per shard, submitted together
+(by the previous generation when it could), one ``ray.wait`` over the
+split parts, one ``ray.get`` over the stats and seen refs, one ``ray.get``
+of the shards' permit runs, then per permit chunk of ``PERMIT_CHUNK`` rows
+one ``fetch_derive`` call per owner, one ``admit_images`` call per shard,
+one ``process_refs_pos`` call per owner and one ``ray.get`` in each sink;
+last, one ``state_dict`` call per shard, gathered in one batched
+``ray.get`` for the checkpoint. The next wave's start clock is the max of
+the ``clock`` values ``schedule_wave`` returned. Every call goes to an
+actor of the fleet, so a generation runs no Ray task and no Ray Data
+execution, at any wave size.
 
 The wave flows by OBJECT-STORE BLOCK REFS end to end: candidates enter as
 block refs, permits come back from the shard actors as per-shard sorted
@@ -390,21 +407,30 @@ class FetchWorker:
         block = self.fetch_batch(permits).append_column(POS, permits[POS])
         return _derive_block(handler, block)
 
+    @ray.method(num_returns=2)
     def process_refs_pos(
         self, refs: list[dict], gen: int, positions: list[int]
-    ) -> pa.Table:
+    ) -> tuple[pa.Table, int]:
         """Decode/recompress/phash the deduped image refs (post-dedup only —
         each unique image is processed exactly once per run). Each row
         keeps its ref's position in ``POS``, so the driver can merge the
-        owners' parts back into the kept refs' order."""
-        rows = []
+        owners' parts back into the kept refs' order. Returns the rows and
+        the number of refs whose stored bytes did not decode, which have
+        no row (``process_image`` returns ``None``)."""
+        rows, failed = [], 0
         for r, p in zip(refs, positions):
             row = self.index.images.get(r["image_id"])
-            if row is not None:
-                rows.append(
-                    {**process_image(row, r["alt"]), "first_gen": gen, POS: p}
-                )
-        return pa.Table.from_pylist(rows, schema=IMAGE_SCHEMA.append(POS_FIELD))
+            if row is None:
+                continue
+            img = process_image(row, r["alt"])
+            if img is None:
+                failed += 1
+            else:
+                rows.append({**img, "first_gen": gen, POS: p})
+        return (
+            pa.Table.from_pylist(rows, schema=IMAGE_SCHEMA.append(POS_FIELD)),
+            failed,
+        )
 
 
 IMAGE_SCHEMA = pa.schema(
@@ -624,14 +650,18 @@ CANDIDATE_SCHEMA = pa.schema(
     ]
 )
 
-# driver wall time of each numbered step of a generation, in metrics.parquet:
-# 1 normalize+route, 2 schedule, 3-4a permit merge + fetch + derive + status
-# sink, 4b image admit+process, 4c next candidates, 5 checkpoint. The first
-# generation's route_s also waits for newly spawned shard actors to start
-# (~2 s in a one-shot crawl on 4 CPUs, against ~0.07 s warm): it is not
-# all normalize time.
-PHASE_COLUMNS = ("route_s", "schedule_s", "fetch_s", "images_s",
-                 "candidates_s", "checkpoint_s")
+# driver wall time of each numbered step of a generation, in the order they
+# run, in metrics.parquet: 1 normalize+route, 2 schedule, 3-4a permit merge
+# + fetch + derive + status sink, 4b next candidates, 4c-5 image
+# admit+process (the next generation's shard calls go out inside it),
+# 6 checkpoint. A generation whose shard calls (1-2) the previous one
+# submitted early shows only the leftover wait for them in route_s /
+# schedule_s; the previous generation's overlap_s column is the driver wall
+# those calls had to run in. The first generation's route_s also waits for
+# newly spawned shard actors to start (~2 s in a one-shot crawl on 4 CPUs,
+# against ~0.07 s warm): it is not all normalize time.
+PHASE_COLUMNS = ("route_s", "schedule_s", "fetch_s", "candidates_s",
+                 "images_s", "checkpoint_s")
 
 DS_SORT_THRESHOLD = 200_000  # seen rows above this use a distributed ds.sort
 
@@ -851,6 +881,34 @@ def _dispatch_fetch(pool: list, handler, blocks) -> list[list]:
 # stay small next to its fetches at any pool size; the driver holds one
 # chunk's small derived tables at a time.
 PERMIT_CHUNK = 2048
+
+
+def _submit_wave(actors: list, blocks: list, gen: int, wave_start: int):
+    """Steps 1-2 of generation ``gen``, submitted without waiting: one
+    ``normalize_split`` call per candidate block, block *i* on shard actor
+    ``i % num_shards``, then one ``schedule_wave`` per shard taking its part
+    of every block. Returns (the split calls' refs, the schedule calls'
+    refs)."""
+    n = len(actors)
+    parts = [
+        actors[i % n].normalize_split.options(num_returns=n + 1).remote(b, gen)
+        for i, b in enumerate(blocks)
+    ]
+    return parts, [
+        a.schedule_wave.remote(wave_start, *(p[s] for p in parts))
+        for s, a in enumerate(actors)
+    ]
+
+
+def _write_checkpoint(gen_dir: str, blobs: list[bytes], wave_start: int) -> None:
+    """One generation's resume state: each shard's scheduler pickle and the
+    next wave's start clock. The generation counts as done only once its
+    ``_DONE`` marker follows."""
+    for s, blob in enumerate(blobs):
+        with open(os.path.join(gen_dir, "ckpt", f"shard_{s}.pkl"), "wb") as f:
+            f.write(blob)
+    with open(os.path.join(gen_dir, "ckpt", "wave_start.txt"), "w") as f:
+        f.write(str(wave_start))
 
 
 def _pull_merged(groups: list[list]):
@@ -1076,8 +1134,20 @@ def run_crawl(
             except (OSError, ValueError):
                 return {}
 
+        def _stopped(ctl: dict, g: int) -> bool:
+            """Whether a ``stop_after_gen`` directive ends the crawl before
+            generation ``g``. A directive SATISFIED by a previous attempt
+            (resume starts past it) is spent — honoring it literally would
+            make every resume after a graceful stop a no-op; the resume
+            path is the documented way to continue the crawl."""
+            sag = ctl.get("stop_after_gen")
+            return sag is not None and start_gen <= int(sag) < g
+
         stopped_by_control = False
         total_fetched = 0
+        # generation gen's shard calls (steps 1-2), when the previous
+        # generation submitted them early (step 5)
+        wave = None
         for gen in range(start_gen, max_gens):
             if cand_count == 0:
                 break
@@ -1085,15 +1155,11 @@ def run_crawl(
             while ctl.get("pause"):
                 time.sleep(0.2)
                 ctl = _read_control()
-            if ctl.get("stop_after_gen") is not None:
-                sag = int(ctl["stop_after_gen"])
-                # a directive SATISFIED by a previous attempt (resume
-                # starts past it) is spent — honoring it literally would
-                # make every resume after a graceful stop a no-op; the
-                # resume path is the documented way to continue the crawl
-                if start_gen <= sag < gen:
-                    stopped_by_control = True
-                    break
+            if _stopped(ctl, gen):
+                # drops an early-submitted wave: the shard state it moved
+                # is never checkpointed, and the fleet resets it
+                stopped_by_control = True
+                break
             gen_t0 = time.perf_counter()
             want = int(ctl.get("fetch_concurrency") or 0)
             if want > 0 and want != len(fleet.fetch_pool):
@@ -1121,26 +1187,19 @@ def run_crawl(
             # i % num_shards, which returns its accepted rows split by
             # shard. The wait only closes the phase: every schedule_wave
             # needs every block.
-            parts = [
-                actors[i % num_shards].normalize_split.options(
-                    num_returns=num_shards + 1
-                ).remote(b, gen)
-                for i, b in enumerate(cand_blocks)
-            ]
+            parts, sched_refs = wave or _submit_wave(
+                actors, cand_blocks, gen, wave_start
+            )
+            wave = None
             norm_refs = [p[-1] for p in parts]
             part_refs = [r for p in parts for r in p[:-1]]
             ray.wait(part_refs, num_returns=len(part_refs), fetch_local=False)
             marks.append(time.perf_counter())
 
-            # 2. schedule each shard's wave (politeness DES in the actors):
-            # shard s gets part s of every block as call arguments. One call
+            # 2. each shard's wave (politeness DES in the actors): one call
             # per shard returns three refs: the stats the driver reads, the
             # permits as an Arrow TABLE REF the driver only passes on, and
             # the wave's new seen rows, written once as this gen's sink.
-            sched_refs = [
-                a.schedule_wave.remote(wave_start, *(p[s] for p in parts))
-                for s, a in enumerate(actors)
-            ]
             got = ray.get(
                 [r[0] for r in sched_refs] + [r[2] for r in sched_refs]
                 + norm_refs
@@ -1190,60 +1249,13 @@ def run_crawl(
             total_fetched += n_fetched
             marks.append(time.perf_counter())
 
-            # 4b. image sink: first-wins dedup on REFS via shard actors, then
-            # decode/recompress/phash only the kept refs on their owning
-            # fetch actors. Admit SUBMISSION stays strictly in crawl order
-            # (actor tasks from one caller execute in submission order, so
-            # each shard sees the same hash sequence as the whole-wave path —
-            # the parity seam is block-size-invariant); result GATHERING is
-            # pipelined one chunk behind submission, overlapping admits
-            # with routing.
-            img_groups = []
-
-            def _drain(pending):
-                if not pending:
-                    return
-                refs_t, idxs, futs = pending
-                # ONE batched round-trip for the chunk's shard admits
-                keep = np.zeros(refs_t.num_rows, dtype=bool)
-                for ix, got in zip(idxs, ray.get(futs)):
-                    keep[ix] = got
-                kept = refs_t.filter(pa.array(keep)).to_pylist()
-                if not kept:
-                    return
-                ih = hash64([r["image_id"] for r in kept])
-                img_groups.append([
-                    fleet.fetch_pool[o].process_refs_pos.remote(
-                        [kept[j] for j in ix], gen, ix.tolist()
-                    )
-                    for o, ix in _by_owner(ih, len(fleet.fetch_pool))
-                ])
-
-            pending = None
-            for refs_t in _pull_merged(imref_groups):
-                if refs_t.num_rows == 0:
-                    continue
-                # ONE admit RPC per shard per chunk, its hashes in crawl order
-                ih = hash64(refs_t["image_id"])
-                idxs, futs = [], []
-                for s, ix in _by_owner(ih, num_shards):
-                    idxs.append(ix)
-                    futs.append(actors[s].admit_images.remote(ih[ix]))
-                _drain(pending)
-                pending = (refs_t, idxs, futs)
-            _drain(pending)
-            img_writer = RollingWriter(gen_dir, "images")
-            for t in _pull_merged(img_groups):
-                img_writer.write(t)
-            img_writer.close(IMAGE_SCHEMA)
-            n_images = img_writer.n_rows
-            marks.append(time.perf_counter())
-
-            # 4c. next-gen candidates: ALL retries (crawl order) then ALL
-            # outlinks (crawl order) — identical sequence to the whole-wave
-            # construction; seq assigned with a running offset per chunk. The
-            # seq'd blocks are re-put as the next wave's input refs AND streamed
-            # into the single-file checkpoint.
+            # 4b. next-gen candidates, before the images: they read only
+            # the fetch_derive outputs, and step 5 hands them to the next
+            # generation. ALL retries (crawl order) then ALL outlinks (crawl
+            # order) — identical sequence to the whole-wave construction;
+            # seq assigned with a running offset per chunk. The seq'd blocks
+            # are re-put as the next wave's input refs AND streamed into the
+            # single-file checkpoint.
             cand_writer = RollingWriter(gen_dir, "next_candidates")
             next_cand_refs: list = []
             offset = 0
@@ -1262,14 +1274,77 @@ def run_crawl(
             cand_count = offset
             marks.append(time.perf_counter())
 
-            # 5. checkpoint: scheduler state per shard + wave clock + marker
+            # 4c. image sink: first-wins dedup on REFS via shard actors, then
+            # decode/recompress/phash only the kept refs on their owning
+            # fetch actors. Admit SUBMISSION stays strictly in crawl order
+            # (actor tasks from one caller execute in submission order, so
+            # each shard sees the same hash sequence as the whole-wave path —
+            # the parity seam is block-size-invariant); result GATHERING is
+            # pipelined one chunk behind submission, overlapping admits
+            # with routing.
+            img_groups, failed_refs = [], []
+
+            def _drain(pending):
+                if not pending:
+                    return
+                refs_t, idxs, futs = pending
+                # ONE batched round-trip for the chunk's shard admits
+                keep = np.zeros(refs_t.num_rows, dtype=bool)
+                for ix, got in zip(idxs, ray.get(futs)):
+                    keep[ix] = got
+                kept = refs_t.filter(pa.array(keep)).to_pylist()
+                if not kept:
+                    return
+                ih = hash64([r["image_id"] for r in kept])
+                calls = [
+                    fleet.fetch_pool[o].process_refs_pos.remote(
+                        [kept[j] for j in ix], gen, ix.tolist()
+                    )
+                    for o, ix in _by_owner(ih, len(fleet.fetch_pool))
+                ]
+                img_groups.append([t for t, _ in calls])
+                failed_refs.extend(n for _, n in calls)
+
+            pending = None
+            for refs_t in _pull_merged(imref_groups):
+                if refs_t.num_rows == 0:
+                    continue
+                # ONE admit RPC per shard per chunk, its hashes in crawl order
+                ih = hash64(refs_t["image_id"])
+                idxs, futs = [], []
+                for s, ix in _by_owner(ih, num_shards):
+                    idxs.append(ix)
+                    futs.append(actors[s].admit_images.remote(ih[ix]))
+                _drain(pending)
+                pending = (refs_t, idxs, futs)
+            # 5. every admit of this generation is submitted. Each shard's
+            # state_dict goes next, then the next generation's shard calls:
+            # calls from one caller to an actor run in submission order, so
+            # the checkpoint holds exactly this generation's mutations, and
+            # the next generation routes and schedules on the shard actors
+            # while this one's images and checkpoint finish. Submitted only
+            # if that generation would start at once; its loop top drops
+            # them if a stop arrives in the meantime.
             wave_start = max(r["clock"] for r in wave_res)
-            blobs = ray.get([a.state_dict.remote() for a in actors])
-            for s, blob in enumerate(blobs):
-                with open(os.path.join(gen_dir, "ckpt", f"shard_{s}.pkl"), "wb") as f:
-                    f.write(blob)
-            with open(os.path.join(gen_dir, "ckpt", "wave_start.txt"), "w") as f:
-                f.write(str(wave_start))
+            state_refs = [a.state_dict.remote() for a in actors]
+            t_next = None
+            if cand_count and gen + 1 < max_gens:
+                ctl = _read_control()
+                if not ctl.get("pause") and not _stopped(ctl, gen + 1):
+                    t_next = time.perf_counter()
+                    wave = _submit_wave(actors, cand_blocks, gen + 1, wave_start)
+            _drain(pending)
+            img_writer = RollingWriter(gen_dir, "images")
+            for t in _pull_merged(img_groups):
+                img_writer.write(t)
+            img_writer.close(IMAGE_SCHEMA)
+            n_images = img_writer.n_rows
+            # kept refs whose stored bytes did not decode (process_image)
+            images_failed = sum(ray.get(failed_refs))
+            marks.append(time.perf_counter())
+
+            # 6. checkpoint: scheduler state per shard + wave clock
+            _write_checkpoint(gen_dir, ray.get(state_refs), wave_start)
             marks.append(time.perf_counter())
             # per-(gen, shard) lineage + metrics rows (north rule: every
             # partition checkpoints its lineage and metrics); counters were
@@ -1277,11 +1352,15 @@ def run_crawl(
             # block-ref wave flow: it must stay flat across generations even as
             # the frontier grows. fleet_ready_s / fleet_spawned are this
             # run_crawl call's fleet cost so far (see _Fleet), the phase
-            # columns and gen_wall_s this generation's driver wall time;
+            # columns and gen_wall_s this generation's driver wall time, and
+            # overlap_s the part of it after the next generation's shard
+            # calls went out (0 when they did not go early);
             # all are repeated on every row.
             ready_s = fleet.ready_s()
             phases = dict(zip(PHASE_COLUMNS, np.diff(marks).tolist()))
-            gen_wall_s = time.perf_counter() - gen_t0
+            t_end = time.perf_counter()
+            gen_wall_s = t_end - gen_t0
+            overlap_s = t_end - t_next if t_next is not None else 0.0
             mrows = [
                 {
                     "gen": gen,
@@ -1301,6 +1380,7 @@ def run_crawl(
                     "http_4xx": n4,
                     "http_5xx": n5,
                     "images": n_images,
+                    "images_failed": images_failed,
                     "next_candidates": cand_count,
                     "wave_end_us": wave_start,
                     "driver_rss_kb": _driver_rss_kb(),
@@ -1308,6 +1388,7 @@ def run_crawl(
                     "fleet_spawned": fleet.spawned,
                     **phases,
                     "gen_wall_s": gen_wall_s,
+                    "overlap_s": overlap_s,
                 }
                 for sh, res in enumerate(wave_res)
             ]

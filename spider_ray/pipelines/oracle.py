@@ -396,20 +396,21 @@ def run_oracle(
             img_candidates.extend(res.image_rows)
 
         # image dedup: first-wins in global crawl order, sharded by id hash
+        images_failed = 0
         if img_candidates:
             ih = hash64([r["image_id"] for r in img_candidates])
             for r, h in zip(img_candidates, ih):
                 s = int(h) % num_shards
                 if shards[s].admit_images([h])[0]:
-                    # decode/recompress/phash only AFTER first-wins dedup
-                    image_rows.append(
-                        {
-                            **process_image(
-                                c["images"][r["image_id"]], r["alt"]
-                            ),
-                            "first_gen": gen,
-                        }
-                    )
+                    # decode/recompress/phash only AFTER first-wins dedup;
+                    # an image that does not decode is skipped and counted
+                    img = process_image(c["images"][r["image_id"]], r["alt"])
+                    if img is None:
+                        images_failed += 1
+                    else:
+                        image_rows.append({**img, "first_gen": gen})
+        for m in metrics_rows[-len(shards):]:
+            m["images_failed"] = images_failed
 
         next_rows = next_retries + next_links
         if next_rows:

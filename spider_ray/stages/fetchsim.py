@@ -150,15 +150,23 @@ def fetch_one(permit: FetchPermit, index: WebIndex) -> FetchResult:
     return res
 
 
-def process_image(img_row: dict, caption: str) -> dict:
+def process_image(img_row: dict, caption: str) -> dict | None:
     """Decode → verify dims → recompress to the canonical codec → phash.
-    The M7 'convert to UTF-8 with best effort' analog for pixels."""
+    The M7 'convert to UTF-8 with best effort' analog for pixels. The phash
+    is the first decode's: re-encoding is idempotent (PNG is lossless, and
+    qimg re-quantizes a dequantized image into the same bins), so decoding
+    the output again would return the same pixels. ``None`` when the stored
+    bytes do not decode (a malformed image, or a format with no codec): the
+    crawl skips that image and counts it, it never fails on one."""
     fmt = img_row["fmt"]
-    arr = decode_image(img_row["bytes"], fmt)
+    try:
+        arr = decode_image(img_row["bytes"], fmt)
+    except (ValueError, NotImplementedError):
+        return None
     h, w = arr.shape[:2]
     ok = w == int(img_row["w"]) and h == int(img_row["h"])
     out_bytes = encode_image(arr, fmt)  # recompress policy: same codec
-    ph = phash64(decode_image(out_bytes, fmt))
+    ph = phash64(arr)
     return {
         "image_id": img_row["image_id"],
         "bytes": out_bytes,

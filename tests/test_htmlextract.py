@@ -119,7 +119,7 @@ def _metrics_rows(out_dir: str) -> list[dict]:
         for r in pq.read_table(f).to_pylist():
             # measurements of the run itself, not of the crawl
             for k in ("driver_rss_kb", "fleet_ready_s", "fleet_spawned",
-                      *PHASE_COLUMNS, "gen_wall_s"):
+                      *PHASE_COLUMNS, "gen_wall_s", "overlap_s"):
                 r.pop(k, None)
             rows.append(r)
     return rows
