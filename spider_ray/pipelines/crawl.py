@@ -18,8 +18,8 @@ fetch → extract → frontier[g+1]):
    cuckoo filter (on the Arrow columns; only the admitted rows become
    Python dicts) and runs the politeness DES; it returns three refs — the
    shard's stats, its timed fetch permits sorted by the crawl-order key
-   ``SORT_KEYS`` and its new seen rows (Arrow tables), and the driver
-   writes the seen rows as the ``seen`` sink;
+   ``SORT_KEYS`` and its new seen rows sorted by ``SEEN_KEYS`` (Arrow
+   tables), and the driver merges the seen runs into the ``seen`` sink;
 3. the driver merges the shards' sorted permit runs into global crawl
    order, ``PERMIT_CHUNK`` rows at a time (``_merge_runs``), splits each
    chunk by owner (``hash64(url) % pool``) and sends each
@@ -73,10 +73,10 @@ block refs, permits come back from the shard actors as per-shard sorted
 Arrow table refs, fetched blocks never leave the fetch actors, and every
 sink (status / images / next-candidates / seen) streams one permit chunk's
 small derived tables at a time through a ParquetWriter. The permit merge
-copies at most ``num_shards`` × ``PERMIT_CHUNK`` rows per step, so driver
-RSS is bounded by a few blocks regardless of wave or frontier size. Only
-the final seen sort switches to a distributed ``ds.sort`` past
-``DS_SORT_THRESHOLD`` rows.
+copies at most ``num_shards`` × ``PERMIT_CHUNK`` rows per step, and the
+final ``seen.parquet`` is a streamed merge of the generations' sorted seen
+sinks holding about ``PERMIT_CHUNK`` rows of each, so driver RSS is bounded
+by a few blocks regardless of wave, frontier or seen-set size.
 
 Fleet lifecycle: a Ray session keeps ONE warm fleet of shard and fetch
 actors across ``run_crawl`` calls, because starting an actor process
@@ -99,6 +99,7 @@ from __future__ import annotations
 import glob
 import os
 import pickle
+import re
 import shutil
 import threading
 import time
@@ -152,6 +153,9 @@ PERMIT_SCHEMA = pa.schema(
 # the global crawl order of a wave's permits
 SORT_KEYS = [("fetch_ts", "ascending"), ("priority", "ascending"),
              ("gen", "ascending"), ("seq", "ascending"), ("host", "ascending")]
+
+# the order of a wave's seen rows, each gen's seen sink and seen.parquet
+SEEN_KEYS = [("url_hash", "ascending"), ("url", "ascending")]
 
 # a fetch-actor output row's position in the driver's permit chunk (or
 # kept-ref list): the key the driver merges the owners' parts on
@@ -230,8 +234,9 @@ class ShardActor:
         ``normalize_split`` call, whichever shard actor made it) and run
         the politeness DES. Returns (stats, this shard's permits as one
         Arrow table sorted by ``SORT_KEYS``, the wave's new seen rows as a
-        ``SEEN_SCHEMA`` table): the driver ``ray.get``s the stats and seen
-        refs and merges the shards' permit runs (``_merge_runs``)."""
+        ``SEEN_SCHEMA`` table sorted by ``SEEN_KEYS``): the driver
+        ``ray.get``s the stats and seen refs and merges the shards' permit
+        runs and seen runs (``_merge_runs``)."""
         # admit works on the seq-sorted columns; only its accepted rows
         # become the dicts the DES consumes
         wave = pa.concat_tables(tables).sort_by("seq")
@@ -261,7 +266,7 @@ class ShardActor:
         # rest on that
         return stats, pa.Table.from_pylist(
             [p.__dict__ for p in permits], schema=PERMIT_SCHEMA
-        ).sort_by(SORT_KEYS), seen_t
+        ).sort_by(SORT_KEYS), seen_t.sort_by(SEEN_KEYS)
 
     def admit_images(self, hashes: np.ndarray) -> np.ndarray:
         return self.sched.admit_images(hashes)
@@ -663,29 +668,21 @@ CANDIDATE_SCHEMA = pa.schema(
 PHASE_COLUMNS = ("route_s", "schedule_s", "fetch_s", "candidates_s",
                  "images_s", "checkpoint_s")
 
-DS_SORT_THRESHOLD = 200_000  # seen rows above this use a distributed ds.sort
-
-
 SINK_ROLL_BYTES = 128 << 20  # roll per-gen sink files past ~128 MB
 
 
 class RollingWriter:
     """Single-logical-stream parquet sink that ROLLS to a new part file
-    once the current one passes ``roll_bytes`` — the resumable-output rule
-    ("never one giant file"): ``<base>.parquet`` then
+    once the current one passes ``SINK_ROLL_BYTES`` — the resumable-output
+    rule ("never one giant file"): ``<base>.parquet`` then
     ``<base>.part00001.parquet``, … ``read_sink`` orders parts by PARSED
     index (not lexicographically), so the stream order survives any part
     count. At demo scale everything lands in the single base file, so
     small-corpus readers and old outputs are untouched."""
 
-    def __init__(self, dir_: str, base: str,
-                 roll_bytes: int | None = None):
+    def __init__(self, dir_: str, base: str):
         self.dir = dir_
         self.base = base
-        # resolved at call time so tests can lower the module constant
-        self.roll_bytes = (
-            roll_bytes if roll_bytes is not None else SINK_ROLL_BYTES
-        )
         self.writer = None
         self.part = 0
         self.cur_bytes = 0
@@ -701,7 +698,7 @@ class RollingWriter:
     def write(self, t: pa.Table) -> None:
         if t.num_rows == 0:
             return
-        if self.writer is not None and self.cur_bytes >= self.roll_bytes:
+        if self.writer is not None and self.cur_bytes >= SINK_ROLL_BYTES:
             self.writer.close()
             self.writer = None
             self.part += 1
@@ -721,27 +718,37 @@ class RollingWriter:
             self.writer.close()
 
 
-def read_sink(dir_: str, base: str) -> pa.Table:
-    """Read one logical sink stream back (base file + rolled parts, in
-    STREAM order — parts sort numerically by parsed index, so the order
-    holds no matter how many digits a part number grows to)."""
-    import re as _re
-
+def _sink_paths(dir_: str, base: str) -> list[str]:
+    """One logical sink stream's files (base file + rolled parts) in STREAM
+    order — parts sort numerically by parsed index, so the order holds no
+    matter how many digits a part number grows to."""
     name = base[: -len(".parquet")] if base.endswith(".parquet") else base
-    part_re = _re.compile(
-        _re.escape(name) + r"\.part(\d+)\.parquet$"
-    )
+    part_re = re.compile(re.escape(name) + r"\.part(\d+)\.parquet$")
 
     def _order(p: str) -> int:
         m = part_re.search(os.path.basename(p))
         return int(m.group(1)) if m else 0  # base file = part 0
 
-    paths = sorted(
+    return sorted(
         glob.glob(os.path.join(dir_, f"{name}*.parquet")), key=_order
     )
+
+
+def read_sink(dir_: str, base: str) -> pa.Table:
+    """Read one logical sink stream back, in stream order."""
     return pa.concat_tables(
-        [pq.read_table(p) for p in paths], promote_options="default"
+        [pq.read_table(p) for p in _sink_paths(dir_, base)],
+        promote_options="default",
     )
+
+
+def _sink_batches(dir_: str, base: str):
+    """One logical sink stream in stream order, ``PERMIT_CHUNK`` rows at a
+    time."""
+    for p in _sink_paths(dir_, base):
+        with pq.ParquetFile(p) as f:
+            for b in f.iter_batches(batch_size=PERMIT_CHUNK):
+                yield pa.Table.from_batches([b])
 
 
 def _done_gens(out_dir: str) -> list[int]:
@@ -751,14 +758,6 @@ def _done_gens(out_dir: str) -> list[int]:
         for d in os.listdir(out_dir)
         if d.startswith("gen=")
         and os.path.exists(os.path.join(out_dir, d, "_DONE"))
-    )
-
-
-def _with_sort_key(t: pa.Table) -> pa.Table:
-    """Seen rows plus the order-preserving int64 image of ``url_hash``."""
-    uh = t["url_hash"].to_numpy()
-    return t.append_column(
-        "sort_key", pa.array((uh ^ np.uint64(1 << 63)).view(np.int64))
     )
 
 
@@ -842,23 +841,37 @@ def _by_owner(hashes: np.ndarray, pool_size: int):
         yield int(o), np.flatnonzero(owners == o)
 
 
-def _merge_runs(runs: list[pa.Table], chunk: int):
-    """Merge tables each sorted by ``SORT_KEYS`` into one stream in
-    ``SORT_KEYS`` order: the rows of ``pa.concat_tables(runs).sort_by(
-    SORT_KEYS)`` (a stable sort, so full-key ties keep run order), yielded
-    as tables of 1 to ``chunk`` rows. The next ``chunk`` rows of the merge
-    lie among each run's next ``chunk`` rows, so each step sorts only those
-    heads and advances each run by the rows it gave."""
-    runs = [r for r in runs if r.num_rows]
-    while runs:
-        heads = pa.concat_tables([r.slice(0, chunk) for r in runs])
-        idx = pc.sort_indices(heads, sort_keys=SORT_KEYS)[:chunk].to_numpy()
+def _merge_runs(runs: list, chunk: int, keys: list):
+    """Merge runs each sorted by ``keys`` into one stream in ``keys``
+    order: the rows of ``pa.concat_tables(runs).sort_by(keys)`` (a stable
+    sort, so full-key ties keep run order), yielded as tables of 1 to
+    ``chunk`` rows. A run is a table, or an iterable of tables whose rows
+    in turn form the run. Before each step every run's buffered head is
+    refilled to ``chunk`` rows or to the run's end, so a run is read at
+    most one of its tables past ``chunk`` rows ahead of the merge. The next
+    ``chunk`` rows of the merge lie among those heads, so each step sorts
+    only the heads and advances each run by the rows it gave."""
+    runs = [(iter([r]) if isinstance(r, pa.Table) else iter(r), None)
+            for r in runs]
+    while True:
+        filled = []
+        for it, head in runs:
+            parts, n = ([head], len(head)) if head else ([], 0)
+            while n < chunk and (t := next(it, None)) is not None:
+                parts.append(t)
+                n += len(t)
+            if n:
+                filled.append((it, pa.concat_tables(parts)))
+        if not filled:
+            return
+        heads = pa.concat_tables([h.slice(0, chunk) for _, h in filled])
+        idx = pc.sort_indices(heads, sort_keys=keys)[:chunk].to_numpy()
         run_of = np.repeat(
-            np.arange(len(runs)), [min(r.num_rows, chunk) for r in runs]
+            np.arange(len(filled)), [min(len(h), chunk) for _, h in filled]
         )
-        used = np.bincount(run_of[idx], minlength=len(runs))
+        used = np.bincount(run_of[idx], minlength=len(filled))
         yield heads.take(idx)
-        runs = [r.slice(n) for r, n in zip(runs, used) if r.num_rows > n]
+        runs = [(it, h.slice(n)) for (it, h), n in zip(filled, used)]
 
 
 def _dispatch_fetch(pool: list, handler, blocks) -> list[list]:
@@ -1011,10 +1024,18 @@ def run_crawl(
         "seen_capacity": seen_capacity,
         "sitemap_seeds": bool(sitemap_seeds),
         "hash_canary": canary,
+        # 2: each generation's seen sink is one run in SEEN_KEYS order
+        "format": 2,
     }
     if resume and os.path.exists(cfg_path):
         with open(cfg_path) as f:
             stored = json.load(f)
+        if stored.get("format") != cfg["format"]:
+            raise ValueError(
+                "resume format mismatch: the per-generation seen sinks in "
+                f"{out_dir} predate sorted runs and cannot be merged into "
+                "seen.parquet; restart the crawl in an empty out_dir"
+            )
         if stored.get("hash_canary", canary) != canary:
             raise ValueError(
                 "resume hash-provider mismatch: the checkpointed run's "
@@ -1199,7 +1220,7 @@ def run_crawl(
             # 2. each shard's wave (politeness DES in the actors): one call
             # per shard returns three refs: the stats the driver reads, the
             # permits as an Arrow TABLE REF the driver only passes on, and
-            # the wave's new seen rows, written once as this gen's sink.
+            # the wave's new seen rows, sorted, merged into this gen's sink.
             got = ray.get(
                 [r[0] for r in sched_refs] + [r[2] for r in sched_refs]
                 + norm_refs
@@ -1215,14 +1236,16 @@ def run_crawl(
             del parts, part_refs, norm_refs
             permit_refs = [pt for _, pt, _ in sched_refs]
             seen_writer = RollingWriter(gen_dir, "seen")
-            for t in seen_parts:
+            for t in _merge_runs(seen_parts, PERMIT_CHUNK, SEEN_KEYS):
                 seen_writer.write(t)
             seen_writer.close(SEEN_SCHEMA)
             marks.append(time.perf_counter())
 
             # 3. the shards' sorted permit runs → one global crawl-order
             # stream of permit chunks, merged on the driver at any wave size
-            fetch_in = _merge_runs(ray.get(permit_refs), PERMIT_CHUNK)
+            fetch_in = _merge_runs(
+                ray.get(permit_refs), PERMIT_CHUNK, SORT_KEYS
+            )
 
             # 4. one fetch_derive call per owner per chunk (result handler
             # and derivations in the fetch actor), submitted up front and
@@ -1397,38 +1420,14 @@ def run_crawl(
             with open(os.path.join(gen_dir, "_DONE"), "w") as f:
                 f.write("ok")
 
-        # final: every DONE generation's seen sink, globally sorted by
-        # (url_hash, url). Small sets concat+sort driver-side (bounded); big
-        # sets sort distributed on the order-preserving int64 bit-flip key
-        # (ray's sort doesn't take uint64) and stream-write.
-        seen_files = {  # path -> rows; their order does not matter
-            p: pq.ParquetFile(p).metadata.num_rows
-            for g in _done_gens(out_dir)
-            for p in glob.glob(os.path.join(out_dir, f"gen={g}", "seen*.parquet"))
-        }
-        seen_path = os.path.join(out_dir, "seen.parquet")
-        if sum(seen_files.values()) <= DS_SORT_THRESHOLD:
-            seen_t = pa.concat_tables(
-                [pq.read_table(p) for p in seen_files]
-                or [SEEN_SCHEMA.empty_table()]
-            ).sort_by([("url_hash", "ascending"), ("url", "ascending")])
-            pq.write_table(seen_t, seen_path)
-        else:
-            sorted_ds = (
-                # partitioning=None: the gen=<g> directories are no column
-                ray.data.read_parquet(
-                    [p for p, n in seen_files.items() if n], partitioning=None
-                )
-                .map_batches(_with_sort_key, batch_format="pyarrow")
-                .sort(["sort_key", "url"])
-            )
-            writer = RollingWriter(out_dir, "seen")
-            for bref in sorted_ds.materialize().to_arrow_refs():
-                b = ray.get(bref)
-                if b.num_rows == 0:
-                    continue
-                writer.write(b.drop_columns(["sort_key"]))
-            writer.close(SEEN_SCHEMA)
+        # final: every DONE generation's seen sink is one sorted run; their
+        # streamed merge is seen.parquet, in SEEN_KEYS order
+        runs = [_sink_batches(os.path.join(out_dir, f"gen={g}"), "seen")
+                for g in _done_gens(out_dir)]
+        seen_writer = RollingWriter(out_dir, "seen")
+        for t in _merge_runs(runs, PERMIT_CHUNK, SEEN_KEYS):
+            seen_writer.write(t)
+        seen_writer.close(SEEN_SCHEMA)
 
         result = {
             "out_dir": out_dir,

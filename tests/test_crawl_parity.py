@@ -201,17 +201,24 @@ def test_resume_no_refetch(corpus, oracle_out, ray_session):
     assert seen == oracle_out["seen"]
 
 
-def test_distributed_sort_path_identical(corpus, oracle_out, ray_session, monkeypatch):
-    """Force the final seen sort through its distributed ds.sort path
-    (threshold 1; permits take the one merge path at every size) and
-    require byte-identical outputs to the oracle — proving the scale path
-    and the small-set path implement the same ordering contract."""
+def test_seen_merge_path_identical(corpus, oracle_out, ray_session,
+                                  monkeypatch):
+    """The one seen-set path through many merge steps: 7-row permit chunks
+    and sinks that roll past ~1 KB, so each generation's seen sink is a
+    merge of the shards' sorted seen runs spread over part files, and
+    seen.parquet a streamed merge of those sinks. Every generation's seen
+    sink must read back sorted and seen.parquet must equal the oracle's."""
     import spider_ray.pipelines.crawl as C
 
-    monkeypatch.setattr(C, "DS_SORT_THRESHOLD", 1)
-    out = "/tmp/spider_ray_test_dsort"
+    monkeypatch.setattr(C, "PERMIT_CHUNK", 7)
+    monkeypatch.setattr(C, "SINK_ROLL_BYTES", 1024)
+    out = "/tmp/spider_ray_test_seen_merge"
     shutil.rmtree(out, ignore_errors=True)
     C.run_crawl(corpus, out, num_shards=2, fetch_concurrency=2)
+    assert glob.glob(os.path.join(out, "gen=*", "seen.part*.parquet"))
+    for d in glob.glob(os.path.join(out, "gen=*")):
+        seen = C.read_sink(d, "seen")
+        assert seen.equals(seen.sort_by(C.SEEN_KEYS))
     eng = _engine_rows(out, "status.parquet")
     gold = oracle_out["crawl_order"]
     assert len(eng) == len(gold)
@@ -219,8 +226,8 @@ def test_distributed_sort_path_identical(corpus, oracle_out, ray_session, monkey
         assert (e["url"], e["fetch_ts"], e["gen"], e["seq"]) == (
             g["url"], g["fetch_ts"], g["gen"], g["seq"]
         )
-    seen = pq.read_table(os.path.join(out, "seen.parquet")).to_pylist()
-    assert seen == oracle_out["seen"]
+    # seen.parquet rolls too
+    assert C.read_sink(out, "seen").to_pylist() == oracle_out["seen"]
 
 
 def test_hot_host_isolation_parity(corpus, ray_session):
@@ -424,14 +431,12 @@ def test_dynamic_control_stop_and_resume(corpus, oracle_out, ray_session):
 
 
 def test_refs_mode_resume_parity(corpus, oracle_out, ray_session, monkeypatch):
-    """Resume through multi-chunk merged waves (7-row permit chunks) and
-    the distributed seen sort (threshold 1): interrupt after 2
-    generations, resume, and require the combined streamed sinks to match
-    the oracle byte-for-byte — proving the chunked writers and the
-    checkpoint/rehydrate seam compose."""
+    """Resume through multi-chunk merged waves (7-row permit chunks):
+    interrupt after 2 generations, resume, and require the combined
+    streamed sinks to match the oracle byte-for-byte — proving the chunked
+    writers and the checkpoint/rehydrate seam compose."""
     import spider_ray.pipelines.crawl as C
 
-    monkeypatch.setattr(C, "DS_SORT_THRESHOLD", 1)
     monkeypatch.setattr(C, "PERMIT_CHUNK", 7)  # several chunks per gen
     out = "/tmp/spider_ray_test_refs_resume"
     shutil.rmtree(out, ignore_errors=True)
@@ -461,7 +466,8 @@ def test_rolling_sinks_roll_and_reassemble(corpus, oracle_out, ray_session,
     wdir = "/tmp/spider_ray_test_rollwriter"
     shutil.rmtree(wdir, ignore_errors=True)
     os.makedirs(wdir)
-    w = C.RollingWriter(wdir, "x", roll_bytes=10)
+    monkeypatch.setattr(C, "SINK_ROLL_BYTES", 10)
+    w = C.RollingWriter(wdir, "x")
     for i in range(3):
         w.write(pa.table({"a": [i] * 100}))
     w.close(pa.schema([("a", pa.int64())]))
@@ -472,7 +478,6 @@ def test_rolling_sinks_roll_and_reassemble(corpus, oracle_out, ray_session,
     assert t["a"].to_pylist() == [0] * 100 + [1] * 100 + [2] * 100
 
     monkeypatch.setattr(C, "SINK_ROLL_BYTES", 1024)  # ~1 KB → many parts
-    monkeypatch.setattr(C, "DS_SORT_THRESHOLD", 1)
     monkeypatch.setattr(C, "PERMIT_CHUNK", 7)  # several chunks per gen
     out = "/tmp/spider_ray_test_rolling"
     shutil.rmtree(out, ignore_errors=True)
@@ -573,6 +578,39 @@ def test_resume_rejects_checkpoint_with_seen_rows(corpus, ray_session):
     with pytest.raises(ValueError, match="restart the crawl"):
         run_crawl(corpus, out, num_shards=2, fetch_concurrency=2,
                   resume=True)
+
+
+def test_resume_rejects_unsorted_seen_sinks(corpus, ray_session):
+    """An out_dir whose run_config.json has no ``format`` field was written
+    before each generation's seen sink became one sorted run. It must not
+    resume: merging its admission-order seen sinks would write a wrongly
+    ordered seen.parquet without a word. The refusal comes before any
+    actor work, so no generation directory changes."""
+    import json
+
+    from spider_ray.pipelines.crawl import run_crawl
+
+    out = "/tmp/spider_ray_test_old_format"
+    shutil.rmtree(out, ignore_errors=True)
+    run_crawl(corpus, out, num_shards=2, fetch_concurrency=2, max_gens=1)
+    cfg_path = os.path.join(out, "run_config.json")
+    with open(cfg_path) as f:
+        cfg = json.load(f)
+    del cfg["format"]
+    with open(cfg_path, "w") as f:
+        json.dump(cfg, f)
+
+    def _gen_files():
+        return {p: os.path.getmtime(p) for p in glob.glob(
+            os.path.join(out, "gen=*", "**"), recursive=True)}
+
+    before = _gen_files()
+    with pytest.raises(ValueError, match="predate sorted runs") as err:
+        run_crawl(corpus, out, num_shards=2, fetch_concurrency=2,
+                  resume=True)
+    assert "restart the crawl" in str(err.value)
+    assert "topology" not in str(err.value)
+    assert _gen_files() == before
 
 
 def test_fresh_run_refuses_dirty_out_dir(corpus, ray_session):
@@ -678,7 +716,6 @@ def test_hot_host_refs_mode_parity(corpus, ray_session, monkeypatch):
     import spider_ray.pipelines.crawl as C
 
     hot = "bigfamily.example.com"
-    monkeypatch.setattr(C, "DS_SORT_THRESHOLD", 1)
     monkeypatch.setattr(C, "PERMIT_CHUNK", 7)  # several chunks per gen
     out = "/tmp/spider_ray_test_hot_refs"
     shutil.rmtree(out, ignore_errors=True)

@@ -63,8 +63,9 @@ def test_crawl_wave_runs_no_ray_data(corpus, oracle_out, ray_session,  # noqa: F
                                      monkeypatch):
     """No generation starts a Ray Data execution, at any wave size: the
     shard actors normalize and route each wave, and the driver merges the
-    shards' sorted permit runs. The second crawl forces DS_SORT_THRESHOLD
-    to 1 (only the final seen sort reads it) and 7-row permit chunks."""
+    shards' sorted permit and seen runs. Nor does the final seen.parquet,
+    a streamed merge of the generations' seen sinks, read through Ray
+    Data. The second crawl takes 7-row permit chunks."""
     import ray.data
 
     import spider_ray.pipelines.crawl as C
@@ -73,9 +74,9 @@ def test_crawl_wave_runs_no_ray_data(corpus, oracle_out, ray_session,  # noqa: F
         raise AssertionError("the crawl wave started a Ray Data execution")
 
     monkeypatch.setattr(ray.data, "from_arrow_refs", _no_ray_data)
+    monkeypatch.setattr(ray.data, "read_parquet", _no_ray_data)
     for forced in (False, True):
         if forced:
-            monkeypatch.setattr(C, "DS_SORT_THRESHOLD", 1)
             monkeypatch.setattr(C, "PERMIT_CHUNK", 7)
         shutil.rmtree(OUT_W, ignore_errors=True)
         C.run_crawl(corpus, OUT_W, num_shards=2, fetch_concurrency=2)

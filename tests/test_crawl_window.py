@@ -140,3 +140,47 @@ def test_stop_in_window_drops_the_submitted_generation(
     _assert_oracle(out, oracle_out)
     assert part["total_fetched"] + full["total_fetched"] == len(
         oracle_out["crawl_order"])
+
+
+def test_shard_actor_killed_in_window_resumes(
+    corpus, oracle_out, engine_out, ray_session, monkeypatch
+):
+    """A shard actor killed (``ray.kill``, a real process death) in
+    generation 1's window, after its checkpoint state was taken. Shard
+    actors have no restarts, so the crawl fails at generation 2's next call
+    to the dead actor, with generations 0 and 1 complete. A resume matches
+    the oracle on crawl order, seen set and images without fetching a page
+    of those two generations again."""
+    import ray
+
+    import spider_ray.pipelines.crawl as C
+
+    out = "/tmp/spider_ray_test_window_kill"
+    shutil.rmtree(out, ignore_errors=True)
+    shards = []
+    submit = C._submit_wave
+
+    def _capture(actors, *args):
+        shards[:] = actors
+        return submit(actors, *args)
+
+    monkeypatch.setattr(C, "_submit_wave", _capture)
+    submitted = _in_window(
+        monkeypatch, lambda out_dir: ray.kill(shards[0], no_restart=True)
+    )
+    with pytest.raises(ray.exceptions.RayActorError):
+        C.run_crawl(corpus, out, num_shards=2, fetch_concurrency=2)
+    assert submitted[:4] == [0, 1, 2, "fired"]
+    assert _done(out) == ["gen=0", "gen=1"]
+    done = {p: os.path.getmtime(os.path.join(out, p)) for p in _files(out)
+            if p.startswith(("gen=0", "gen=1"))}
+    n01 = sum(read_sink(os.path.join(out, g), "status").num_rows
+              for g in ("gen=0", "gen=1"))
+
+    monkeypatch.undo()
+    res = C.run_crawl(corpus, out, num_shards=2, fetch_concurrency=2,
+                      resume=True)
+    assert {p: os.path.getmtime(os.path.join(out, p)) for p in done} == done
+    assert _files(out) == _files(OUT)
+    _assert_oracle(out, oracle_out)
+    assert n01 + res["total_fetched"] == len(oracle_out["crawl_order"])

@@ -259,11 +259,13 @@ def test_fetch_dispatch_empty_blocks(ray_session):
     full = C.FetchActorCls.remote(corpus)
     try:
         assert C._dispatch_fetch(
-            pool, None, C._merge_runs([empty, empty], 25)
+            pool, None, C._merge_runs([empty, empty], 25, C.SORT_KEYS)
         ) == []
         runs = [empty, permits.take(list(range(0, n, 2))), empty,
                 permits.take(list(range(1, n, 2)))]
-        calls = C._dispatch_fetch(pool, None, C._merge_runs(runs, 25))
+        calls = C._dispatch_fetch(
+            pool, None, C._merge_runs(runs, 25, C.SORT_KEYS)
+        )
         assert len(calls) == 3
         status, imrefs, retries, outlinks = (
             list(C._pull_merged([[c[k] for c in cs] for cs in calls]))
